@@ -49,16 +49,30 @@ from .polyfam import (
     shape_partitions,
     vanishing_sum,
 )
-from .verifier import (
-    RootTuple,
-    SolverConfig,
-    VerificationReport,
-    build_system,
-    forward_multipliers,
-    orbit_count,
-    solve_system,
-    verify_spectrum,
+
+# The verifier needs numpy; it is imported on first use of one of its names
+# so that counting alone never loads numpy.
+_VERIFIER_NAMES = frozenset(
+    {
+        "RootTuple",
+        "SolverConfig",
+        "VerificationReport",
+        "build_system",
+        "forward_multipliers",
+        "orbit_count",
+        "solve_system",
+        "verify_spectrum",
+    }
 )
+
+
+def __getattr__(name):
+    if name in _VERIFIER_NAMES:
+        from . import verifier
+
+        return getattr(verifier, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

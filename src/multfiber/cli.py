@@ -20,7 +20,6 @@ from . import counting, polyfam
 from .errors import InputError, InternalCheckError, SpectrumFormatError
 from .lattice import enumerate_lattice, FULL_ENUM_CAP
 from .spectrum import generate, spectrum_from_obj, spectrum_to_obj
-from .verifier import SolverConfig, verify_spectrum
 
 
 class _CliError(Exception):
@@ -158,6 +157,8 @@ def _cmd_identity_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verifier import SolverConfig, verify_spectrum  # loads numpy
+
     spec = _load_spectrum(args.input)
     cfg = SolverConfig()
     overrides = {

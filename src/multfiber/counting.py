@@ -2,24 +2,38 @@
 
 The central quantity is the fiber cardinality *counted with multiplicity*
 of the map sending a conjugacy class of degree-d polynomials to its
-unordered multiplier collection.  Three independent routes compute it:
+unordered multiplier collection.  Every route writes it as a sum over the
+partitions of the index set into zero-sum blocks, graded by block count:
 
-* ``subspectra``: per-partition weights as products over blocks of
-  (size-1) times the count of the restricted sub-spectrum, recursing into
-  sub-spectra (memoized on the multiset of shift values);
-* ``refinement``: per-partition weights by downward recursion over strict
-  refinements inside one lattice, with falling-factorial span factors;
-* the closed form: a single signed sum over the full lattice,
+* ``subspectra``: (d-2)! minus rising-span factors times, per proper
+  partition, the product over blocks C of w(C) = (|C|-1) times the count
+  of the sub-spectrum restricted to C;
+* ``refinement``: the same products against falling-span factors give
+  w(full) = (d-1)! minus the weighted sum, and the count is w(full)/(d-1);
+* the closed form: a single signed sum,
   (d-1) * count = sum over partitions of {-(d-1)}^{#blocks - 1} times the
   product of (block size - 1)!.
 
-All three must agree exactly; disagreement or a failed exact division is
+``fiber_report`` evaluates the recursion in both span bases and the closed
+form in one bottom-up pass over the zero-sum index masks (``mask_counts``)
+and builds no partition.  Since falling_span(n, k) = (n-1) * rising_span(n, k),
+the two recursions share their sums and differ only in the span basis:
+their agreement, checked at every mask, guards the span arithmetic, not
+the sums.  The closed form uses block sizes only, never a recursive
+weight, so its agreement with the recursions is the independent check.
+
+The partition-based functions (``fiber_size`` with either engine,
+``fiber_size_closed_form``, ``refinement_weights``, ``weight_from_*``)
+enumerate the lattice and recurse into restricted sub-spectra or strict
+refinements; they are the slow reference the tests hold the mask pass to.
+
+All routes must agree exactly; disagreement or a failed exact division is
 an internal error, never bad input.  From the multiplicity count the two
 discrete counts follow: the monic-centered count always, the
 conjugacy-class count only when every class gcd is 1 (the remaining case
 needs machinery that is out of scope, so it is reported as absent).
 
-Everything here is a pure function of (Spectrum, Lattice) on
+Everything here is a pure function of its arguments on
 arbitrary-precision integers; memo dictionaries are per call unless the
 caller shares one, so concurrent evaluation is safe with per-thread memos.
 """
@@ -37,11 +51,13 @@ from .errors import (
     PartitionNotInLatticeError,
 )
 from .lattice import (
+    FULL_ENUM_CAP,
     BlockPartition,
     Lattice,
     enumerate_lattice,
     inner_block_count,
     refines,
+    zero_sum_subsets,
 )
 from .spectrum import Spectrum, ValueClasses, value_classes
 
@@ -274,9 +290,79 @@ def expansion_in_factorial_weights(lat: Lattice) -> dict[BlockPartition, int]:
     return coeffs
 
 
+# --- one pass over the zero-sum masks ---------------------------------------------
+
+def mask_counts(
+    spec: Spectrum, cap: int = FULL_ENUM_CAP
+) -> tuple[dict[str, int], int, int]:
+    """All three routes in one pass over the zero-sum masks, no partitions.
+
+    Returns the count by route name, the number of partitions P (the
+    one-block partition included) and the number of zero-sum subsets Z.
+    Each visited mask B gets an entry holding, per block count k, three
+    sums over the partitions of B into zero-sum blocks: of prod w(C), of
+    prod (|C|-1)! and of 1.  A proper partition of B is its block b that
+    holds the lowest index of B together with a partition of B without b,
+    which is zero-sum, smaller and visited earlier; so every proper
+    partition is counted once.
+    """
+    subsets = zero_sum_subsets(spec, cap)
+    d = spec.d
+    full = (1 << d) - 1
+    fact = [factorial(i) for i in range(d + 1)]
+    by_low: dict[int, list[int]] = {}
+    for mask in subsets:
+        by_low.setdefault(mask & -mask, []).append(mask)
+
+    weight: dict[int, int] = {}  # w(B) = (|B|-1) * count of B
+    graded: dict[int, tuple[list[int], list[int], list[int]]] = {}
+    # Ascending masks: every proper subset of a mask comes before it.
+    for mask in subsets + [full]:
+        n = mask.bit_count()
+        g = [0] * (n // 2 + 1)  # blocks have size >= 2, index = block count
+        f = g.copy()
+        c = g.copy()
+        for b in by_low.get(mask & -mask, ()):
+            if b >= mask:
+                break
+            if b & ~mask:
+                continue
+            wb = weight[b]
+            fb = fact[b.bit_count() - 1]
+            rg, rf, rc = graded[mask ^ b]
+            for k in range(1, len(rg)):
+                g[k + 1] += wb * rg[k]
+                f[k + 1] += fb * rf[k]
+                c[k + 1] += rc[k]
+        sub = fact[n - 2] - sum(rising_span(n, k) * g[k] for k in range(2, len(g)))
+        w = fact[n - 1] - sum(falling_span(n, k) * g[k] for k in range(2, len(g)))
+        if w != (n - 1) * sub:
+            raise EngineDisagreementError(
+                f"recursions disagree on block {mask:#x}: "
+                f"weight {w} != {n - 1} * count {sub}"
+            )
+        g[1], f[1], c[1] = w, fact[n - 1], 1
+        weight[mask] = w
+        graded[mask] = (g, f, c)
+
+    # The full mask came last, so g, f, c, sub and w are its values; w is
+    # divisible by d-1 because w == (d-1) * sub was just checked.
+    signed = sum((-(d - 1)) ** (k - 1) * f[k] for k in range(1, len(f)))
+    if signed % (d - 1):
+        raise DivisibilityError(
+            f"signed lattice sum {signed} not divisible by {d - 1}"
+        )
+    by_engine = {
+        "subspectra": sub,
+        "refinement": w // (d - 1),
+        "closed_form": signed // (d - 1),
+    }
+    return by_engine, sum(c), len(subsets)
+
+
 # --- aggregate report -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiberReport:
     """All computed counts for one spectrum."""
 
@@ -294,13 +380,10 @@ class FiberReport:
 
 def fiber_report(spec: Spectrum, cap: int | None = None) -> FiberReport:
     """Run all three routes, check agreement and bounds, collect the counts."""
-    lat = enumerate_lattice(spec) if cap is None else enumerate_lattice(spec, cap)
+    by_engine, partitions, zero_sum = mask_counts(
+        spec, FULL_ENUM_CAP if cap is None else cap
+    )
     d = spec.d
-    by_engine = {
-        "subspectra": fiber_size(spec, lat, "subspectra"),
-        "refinement": fiber_size(spec, lat, "refinement"),
-        "closed_form": fiber_size_closed_form(spec, lat),
-    }
     values = set(by_engine.values())
     if len(values) != 1:
         raise EngineDisagreementError(f"count routes disagree: {by_engine}")
@@ -314,11 +397,11 @@ def fiber_report(spec: Spectrum, cap: int | None = None) -> FiberReport:
         d=d,
         s_d=size,
         e_I0=(d - 1) * size,
-        mc_count=monic_centered_count(spec, lat, size, classes),
-        mp_count=conjugacy_count(spec, lat, size, classes),
+        mc_count=monic_centered_count(spec, None, size, classes),
+        mp_count=conjugacy_count(spec, None, size, classes),
         kappa_sizes=classes.sizes,
         gw_flags=class_gcds(classes.sizes),
         engines=by_engine,
-        lattice_partitions=len(lat.partitions),
-        zero_sum_subsets=lat.zero_sum_count,
+        lattice_partitions=partitions,
+        zero_sum_subsets=zero_sum,
     )

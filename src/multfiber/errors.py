@@ -83,6 +83,10 @@ class InvariantViolationError(InternalCheckError):
 
 # --- verifier ----------------------------------------------------------------
 
+class SolverConfigError(InputError):
+    """A solver budget or count below its minimum, or a tolerance <= 0."""
+
+
 class CoincidentRootsError(InputError):
     """Fixed-point coordinates are not pairwise distinct."""
 
@@ -93,6 +97,10 @@ class SpuriousSolutionError(InternalCheckError):
 
 class NonFreeActionError(InternalCheckError):
     """A permutation orbit of solution tuples has the wrong size."""
+
+
+class MultiplierMismatchError(InternalCheckError):
+    """An accepted tuple's multipliers miss the spectrum by more than eps_mult."""
 
 
 class BudgetExhaustedError(MultFiberError):

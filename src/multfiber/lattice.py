@@ -43,6 +43,7 @@ def zero_sum_subsets(spec: "Spectrum", cap: int = FULL_ENUM_CAP) -> list[int]:
     """All proper nonempty index sets with exactly vanishing shift sum.
 
     Every returned subset has size >= 2, because single shifts are nonzero.
+    Masks come in ascending order, so each follows all of its subsets.
     """
     d = spec.d
     if d > min(cap, HARD_CAP):

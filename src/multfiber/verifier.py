@@ -31,16 +31,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import fiber_size_closed_form, monic_centered_count
+from .counting import fiber_report
 from .errors import (
     BudgetExhaustedError,
     CoincidentRootsError,
     DegreeTooSmallError,
     DimensionCapError,
+    MultiplierMismatchError,
     NonFreeActionError,
+    SolverConfigError,
     SpuriousSolutionError,
 )
-from .lattice import enumerate_lattice
 from .spectrum import Spectrum, ValueClasses, value_classes
 
 
@@ -55,13 +56,25 @@ class SolverConfig:
     eps_res: float = 1e-10      # accept a tuple only below this residual
     eps_dup: float = 1e-6       # tuples closer than this are one solution
     eps_sep: float = 1e-7       # coordinates closer than this are a collision
-    eps_mult: float = 1e-8      # multiplier reconstruction tolerance
+    eps_mult: float = 1e-8      # max |m - lambda| / max(1, |lambda|) per tuple
     max_iter: int = 200
     budget_factor: int = 5000   # starts = factor * (d-1) * max(count, 1)
     batch_size: int = 512
     seed: int = 0
     max_degree: int = 6
     blowup: float = 1e8         # kill a start once coordinates exceed this
+
+    def __post_init__(self):
+        for name in ("max_iter", "batch_size", "max_degree"):
+            if getattr(self, name) < 1:
+                raise SolverConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # a zero budget is allowed: it reports "incomplete" without solving
+        for name in ("budget_factor", "seed"):
+            if getattr(self, name) < 0:
+                raise SolverConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("eps_res", "eps_dup", "eps_sep", "eps_mult", "blowup"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise SolverConfigError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -210,7 +223,7 @@ def solve_system(
     if d > cfg.max_degree:
         raise DimensionCapError(f"degree {d} above solver cap {cfg.max_degree}")
     if expected is None:
-        expected = (d - 1) * fiber_size_closed_form(spec)
+        expected = fiber_report(spec).e_I0
     system = SigmaSystem(spec)
     rng = np.random.default_rng(cfg.seed)
     radius = 2.0 * (1.0 + spec.max_multiplier_modulus())
@@ -273,12 +286,21 @@ def forward_multipliers(zeta) -> list[complex]:
     return [complex(1 + p) for p in diff.prod(axis=1)]
 
 
-def _class_profile(zeta: tuple[complex, ...], classes: ValueClasses):
-    """Per-class sorted coordinate multisets; orbit signature up to noise."""
-    return [
-        sorted((zeta[i] for i in k), key=lambda v: (v.real, v.imag))
-        for k in classes.classes
-    ]
+def _same_multiset(xs, ys, eps: float) -> bool:
+    """Match every coordinate of ``xs`` to an unused one of ``ys`` within eps.
+
+    Sorting cannot stand in for this: in a real spectrum a class can hold a
+    conjugate pair whose real parts tie, and noise flips their order.
+    """
+    unused = list(ys)
+    for x in xs:
+        for j, y in enumerate(unused):
+            if abs(x - y) < eps:
+                del unused[j]
+                break
+        else:
+            return False
+    return True
 
 
 def orbit_count(
@@ -291,27 +313,26 @@ def orbit_count(
     members; a wrong-sized orbit means duplicates, missing tuples or a
     tolerance failure.
     """
-    tuples = list(tuples)
-    if not tuples:
-        return 0
-    profiles = [_class_profile(t.zeta, classes) for t in tuples]
+    profiles = [[[t.zeta[i] for i in k] for k in classes.classes] for t in tuples]
+    parent = list(range(len(profiles)))
 
-    def same_orbit(a, b) -> bool:
-        return all(
-            abs(x - y) < eps_dup
-            for ka, kb in zip(a, b)
-            for x, y in zip(ka, kb)
-        )
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-    labels = list(range(len(tuples)))
-    for i in range(len(tuples)):
-        for j in range(i + 1, len(tuples)):
-            if labels[j] != labels[i] and same_orbit(profiles[i], profiles[j]):
-                old = labels[j]
-                labels = [labels[i] if v == old else v for v in labels]
+    for i in range(len(profiles)):
+        for j in range(i + 1, len(profiles)):
+            if root(i) != root(j) and all(
+                _same_multiset(a, b, eps_dup)
+                for a, b in zip(profiles[i], profiles[j])
+            ):
+                parent[root(j)] = root(i)
     orbit_sizes: dict[int, int] = {}
-    for v in labels:
-        orbit_sizes[v] = orbit_sizes.get(v, 0) + 1
+    for i in range(len(profiles)):
+        r = root(i)
+        orbit_sizes[r] = orbit_sizes.get(r, 0) + 1
     order = classes.group_order()
     for size in orbit_sizes.values():
         if size != order:
@@ -333,14 +354,17 @@ def _near_collisions(tuples, eps_dup: float) -> tuple[tuple[int, int], ...]:
 
 
 def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> VerificationReport:
-    """Close the loop: solve, re-derive multipliers, count orbits, compare."""
+    """Close the loop: solve, re-derive multipliers, count orbits, compare.
+
+    Raises ``MultiplierMismatchError`` when an accepted tuple's multipliers
+    miss the spectrum by more than ``cfg.eps_mult`` relative to max(1, |lambda|).
+    """
     cfg = cfg or SolverConfig()
     d = spec.d
-    lat = enumerate_lattice(spec)
-    size = fiber_size_closed_form(spec, lat)
+    counts = fiber_report(spec)
     classes = value_classes(spec)
-    expected_tuples = (d - 1) * size
-    expected_orbits = monic_centered_count(spec, lat, size, classes)
+    expected_tuples = counts.e_I0
+    expected_orbits = counts.mc_count
 
     if d == 2:
         # Analytic: the unique configuration is (c, -c) with c = -1/(2 mu_1).
@@ -361,10 +385,15 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
             incomplete = True
 
     lam = [complex(v) for v in spec.lam]
-    max_err = 0.0
+    max_err = max_rel = 0.0
     for t in result.tuples:
-        mults = forward_multipliers(t.zeta)
-        max_err = max(max_err, max(abs(m - l) for m, l in zip(mults, lam)))
+        for m, l in zip(forward_multipliers(t.zeta), lam):
+            max_err = max(max_err, abs(m - l))
+            max_rel = max(max_rel, abs(m - l) / max(1.0, abs(l)))
+    if max_rel > cfg.eps_mult:
+        raise MultiplierMismatchError(
+            f"relative multiplier error {max_rel:.3g} above eps_mult {cfg.eps_mult:g}"
+        )
 
     found = len(result.tuples)
     orbits = orbit_count(result.tuples, classes, cfg.eps_dup) if found else 0

@@ -174,6 +174,13 @@ def test_verify_degree_cap_exits_one():
     assert "cap" in err
 
 
+def test_verify_bad_batch_size_exits_one():
+    for value in ("0", "-1"):
+        code, _, err = run_cli("verify", FIXTURE, "--batch-size", value)
+        assert code == 1
+        assert "batch_size" in err
+
+
 def test_count_gaussian_scalars():
     code, out, _ = run_cli("count", '{"d":4,"mu":["0+1i","0-1i","2","-2"]}')
     assert code == 0

@@ -1,9 +1,16 @@
 """Fiber counts: hand fixtures, route agreement, invariants, regressions."""
 
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import multfiber.counting
 from multfiber.counting import (
     ENGINES,
     class_gcds,
@@ -19,6 +26,7 @@ from multfiber.counting import (
     weight_from_subspectra,
 )
 from multfiber.errors import PartitionNotInLatticeError
+from multfiber.exactnum import ZERO, GaussianRational
 from multfiber.lattice import BlockPartition, enumerate_lattice
 from multfiber.spectrum import from_shifts, generate, validate, value_classes
 
@@ -301,3 +309,60 @@ def test_refinement_weights_whole_table_consistent():
     table = refinement_weights(lat)
     for part, value in table.items():
         assert value == weight_from_subspectra(spec, part, lat)
+
+
+# --- the mask pass against the partition references -------------------------------
+
+# small integer shifts make rich lattices; a few carry an imaginary part
+shift_values = st.builds(
+    GaussianRational, st.integers(-3, 3), st.integers(-1, 1)
+).filter(bool)
+
+
+@st.composite
+def small_spectra(draw):
+    head = draw(st.lists(shift_values, min_size=1, max_size=9))
+    last = -sum(head, ZERO)
+    assume(last)
+    return from_shifts(head + [last])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_spectra())
+def test_fiber_report_matches_partition_references(spec):
+    lat = enumerate_lattice(spec)
+    report = fiber_report(spec)
+    assert report.engines == {
+        "subspectra": fiber_size(spec, lat, "subspectra"),
+        "refinement": fiber_size(spec, lat, "refinement"),
+        "closed_form": fiber_size_closed_form(spec, lat),
+    }
+    assert report.lattice_partitions == len(lat.partitions)
+    assert report.zero_sum_subsets == lat.zero_sum_count
+
+
+def test_fiber_report_builds_no_partition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fiber_report built a partition")
+
+    monkeypatch.setattr(BlockPartition, "__post_init__", refuse)
+    monkeypatch.setattr(multfiber.counting, "enumerate_lattice", refuse)
+    report = fiber_report(from_shifts([1, -1, 2, -2, 3, -3]))
+    assert report.s_d == 7
+    assert report.lattice_partitions == 6
+
+
+def test_counting_does_not_load_numpy():
+    src = Path(multfiber.counting.__file__).resolve().parents[1]
+    script = (
+        "import sys, multfiber\n"
+        "multfiber.fiber_report(multfiber.from_shifts([1, -1, 2, -2]))\n"
+        "assert 'numpy' not in sys.modules, 'counting loaded numpy'\n"
+        "assert callable(multfiber.verify_spectrum)\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,8 @@ from multfiber.errors import (
     CoincidentRootsError,
     DegreeTooSmallError,
     DimensionCapError,
+    InputError,
+    InternalCheckError,
     NonFreeActionError,
 )
 from multfiber.spectrum import from_shifts, validate, value_classes
@@ -216,3 +218,44 @@ def test_verify_is_deterministic_under_seed():
     b = verify_spectrum(spec, SolverConfig(seed=5))
     assert a.tuples == b.tuples
     assert a.starts == b.starts
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("batch_size", 0),
+        ("batch_size", -1),
+        ("max_iter", 0),
+        ("max_degree", 0),
+        ("budget_factor", -1),
+        ("seed", -1),
+        ("eps_res", 0.0),
+        ("eps_dup", -1e-6),
+        ("eps_sep", float("nan")),
+        ("eps_mult", 0.0),
+        ("blowup", 0.0),
+    ],
+)
+def test_solver_config_rejects_bad_values(field, value):
+    with pytest.raises(InputError, match=field):
+        SolverConfig(**{field: value})
+
+
+def test_verify_repeated_real_multipliers():
+    # each spectrum has a value class holding a conjugate pair whose real
+    # parts tie, so a sort by (re, im) flips between tuples of one orbit
+    for shifts in ([1, 1, 2, -4], [1, 1, 1, -3]):
+        report = verify_spectrum(from_shifts(shifts))
+        assert report.status == "verified"
+        assert report.mc_orbits == report.expected_orbits
+
+
+def test_verify_enforces_relative_multiplier_tolerance():
+    spec = validate(FIXTURE)
+    with pytest.raises(InternalCheckError, match="eps_mult"):
+        verify_spectrum(spec, SolverConfig(eps_mult=1e-30))
+    # relative, not absolute: with |lambda| near 1e6 the absolute error
+    # (about 1.2e-8 here) exceeds eps_mult
+    spec = from_shifts(["1/1000000", "2/1000000", "-3/1000000"])
+    report = verify_spectrum(spec)
+    assert report.status == "verified"
