@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import counting, polyfam
 from .errors import InputError, InternalCheckError, SpectrumFormatError
@@ -160,24 +159,12 @@ def _cmd_verify(args) -> int:
     from .verifier import SolverConfig, verify_spectrum  # loads numpy
 
     spec = _load_spectrum(args.input)
-    cfg = SolverConfig()
     overrides = {
         name: getattr(args, name)
-        for name in (
-            "eps_res",
-            "eps_dup",
-            "eps_sep",
-            "eps_mult",
-            "max_iter",
-            "budget_factor",
-            "batch_size",
-            "seed",
-            "max_degree",
-        )
+        for name in ("eps_mult", "budget_factor", "seed", "max_degree")
         if getattr(args, name) is not None
     }
-    cfg = replace(cfg, **overrides)
-    report = verify_spectrum(spec, cfg)
+    report = verify_spectrum(spec, SolverConfig(**overrides))
     _emit(
         {
             "spectrum": spectrum_to_obj(spec),
@@ -255,13 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="numerical oracle for the counts")
     add_io(p)
-    p.add_argument("--eps-res", type=float, default=None)
-    p.add_argument("--eps-dup", type=float, default=None)
-    p.add_argument("--eps-sep", type=float, default=None)
     p.add_argument("--eps-mult", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--budget-factor", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-degree", type=int, default=None)
     p.set_defaults(func=_cmd_verify)

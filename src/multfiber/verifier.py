@@ -20,9 +20,17 @@ disc per coordinate, then projected onto the zero-sum hyperplane, which
 removes one unstable direction), filters converged tuples by residual and
 coordinate separation, and deduplicates.  Zero-fiber spectra are verified
 by exhausting the full start budget with nothing accepted, a weaker
-"consistent" outcome, since absence cannot be certified by sampling.
-Newton runs are independent and the final merge is deterministic, so the
-whole pass is reproducible under a fixed seed.
+"consistent" outcome, since absence cannot be certified by sampling (an
+empty budget reads "incomplete").  Newton runs are independent and the
+final merge is deterministic, so the whole pass is reproducible under a
+fixed seed.
+
+``SolverConfig`` holds only what the caller asks: seed, start budget,
+degree cap and multiplier tolerance.  How the solver runs is fixed here.
+Residual bound, iteration cap and batch size are constants; a start dies
+beyond ``BLOWUP`` times the start radius 2(1 + max|lambda|); and the dedup,
+collision and orbit tolerances are relative to max(1, max_i |zeta_i|) of
+the tuple checked, so a spectrum verifies alike at any scale.
 """
 
 from __future__ import annotations
@@ -45,36 +53,38 @@ from .errors import (
 from .spectrum import Spectrum, ValueClasses, value_classes
 
 
+EPS_RES = 1e-10        # accept a tuple only below this residual
+NEWTON_TARGET = 1e-13  # Newton stops refining a start below this residual
+MAX_ITER = 200
+BATCH_SIZE = 512
+EPS_DUP = 1e-6         # relative: tuples closer than this are one solution
+EPS_SEP = 1e-7         # relative: coordinates closer than this are a collision
+BLOWUP = 1e7           # kill a start beyond this many start radii
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and budgets; every field is CLI-overridable.
+    """What the oracle is asked; every field is CLI-overridable.
 
-    Defaults suit desk-scale systems (d <= 6), where distinct solutions are
+    How the solver runs is fixed by the module constants above.  Defaults
+    suit desk-scale systems (d <= 6), where distinct solutions are
     separated by many orders of magnitude more than solver noise.
     """
 
-    eps_res: float = 1e-10      # accept a tuple only below this residual
-    eps_dup: float = 1e-6       # tuples closer than this are one solution
-    eps_sep: float = 1e-7       # coordinates closer than this are a collision
     eps_mult: float = 1e-8      # max |m - lambda| / max(1, |lambda|) per tuple
-    max_iter: int = 200
     budget_factor: int = 5000   # starts = factor * (d-1) * max(count, 1)
-    batch_size: int = 512
     seed: int = 0
     max_degree: int = 6
-    blowup: float = 1e8         # kill a start once coordinates exceed this
 
     def __post_init__(self):
-        for name in ("max_iter", "batch_size", "max_degree"):
-            if getattr(self, name) < 1:
-                raise SolverConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_degree < 1:
+            raise SolverConfigError(f"max_degree must be >= 1, got {self.max_degree}")
         # a zero budget is allowed: it reports "incomplete" without solving
         for name in ("budget_factor", "seed"):
             if getattr(self, name) < 0:
                 raise SolverConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("eps_res", "eps_dup", "eps_sep", "eps_mult", "blowup"):
-            if not getattr(self, name) > 0:  # also rejects NaN
-                raise SolverConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.eps_mult > 0:  # also rejects NaN
+            raise SolverConfigError(f"eps_mult must be > 0, got {self.eps_mult}")
 
 
 @dataclass(frozen=True)
@@ -150,16 +160,15 @@ def build_system(spec: Spectrum) -> SigmaSystem:
     return SigmaSystem(spec)
 
 
-def _newton_batch(system: SigmaSystem, Z: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+def _newton_batch(system: SigmaSystem, Z: np.ndarray, blowup: float) -> np.ndarray:
     """Run damped Newton on every row of Z in place; returns final residuals."""
-    target = min(cfg.eps_res, 1e-13)
     B = Z.shape[0]
     active = np.ones(B, dtype=bool)
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         F = system.residual(Z)
         norms = np.abs(F).max(axis=1)
-        bad = ~np.isfinite(norms) | (np.abs(Z).max(axis=1) > cfg.blowup)
-        active &= ~bad & (norms >= target)
+        bad = ~np.isfinite(norms) | (np.abs(Z).max(axis=1) > blowup)
+        active &= ~bad & (norms >= NEWTON_TARGET)
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -169,14 +178,14 @@ def _newton_batch(system: SigmaSystem, Z: np.ndarray, cfg: SolverConfig) -> np.n
             step = np.linalg.solve(J, rhs)[:, :, 0]
         except np.linalg.LinAlgError:
             step = (np.linalg.pinv(J) @ rhs)[:, :, 0]
-        base = norms[idx]
+        base = np.maximum(norms[idx], NEWTON_TARGET)
         scale = np.ones(idx.size)
         trial = Z[idx] + step
         accepted = np.zeros(idx.size, dtype=bool)
         best = trial.copy()
         for _ in range(10):
             trial_norm = np.abs(system.residual(trial)).max(axis=1)
-            ok = np.isfinite(trial_norm) & ((trial_norm < base) | (trial_norm < target))
+            ok = np.isfinite(trial_norm) & (trial_norm < base)
             newly = ok & ~accepted
             best[newly] = trial[newly]
             accepted |= ok
@@ -188,6 +197,11 @@ def _newton_batch(system: SigmaSystem, Z: np.ndarray, cfg: SolverConfig) -> np.n
         # rows that never improved are stalled; drop them
         active[idx[~accepted]] = False
     return np.abs(system.residual(Z)).max(axis=1)
+
+
+def _scale(zeta) -> float:
+    """max(1, max_i |zeta_i|): the unit of the relative tolerances."""
+    return max(1.0, float(np.abs(zeta).max()))
 
 
 def _min_separation(zeta: np.ndarray) -> float:
@@ -234,16 +248,17 @@ def solve_system(
     while starts < budget:
         if expected > 0 and len(accepted) >= expected:
             break
-        batch = min(cfg.batch_size, budget - starts)
+        batch = min(BATCH_SIZE, budget - starts)
         Z = _disc_starts(rng, batch, d, radius)
-        norms = _newton_batch(system, Z, cfg)
+        norms = _newton_batch(system, Z, BLOWUP * radius)
         starts += batch
-        for row in np.flatnonzero(norms < cfg.eps_res):
+        for row in np.flatnonzero(norms < EPS_RES):
             zeta = Z[row]
             converged += 1
-            if _min_separation(zeta) <= cfg.eps_sep:
+            scale = _scale(zeta)
+            if _min_separation(zeta) <= EPS_SEP * scale:
                 continue  # coordinate collision, not a valid configuration
-            if any(np.abs(zeta - seen).max() < cfg.eps_dup for seen in accepted):
+            if any(np.abs(zeta - seen).max() < EPS_DUP * scale for seen in accepted):
                 duplicates += 1
                 continue
             if len(accepted) >= expected:
@@ -303,13 +318,12 @@ def _same_multiset(xs, ys, eps: float) -> bool:
     return True
 
 
-def orbit_count(
-    tuples, classes: ValueClasses, eps_dup: float = SolverConfig.eps_dup
-) -> int:
+def orbit_count(tuples, classes: ValueClasses) -> int:
     """Group tuples under class-preserving coordinate permutations.
 
     Two tuples lie in one orbit iff each value class carries the same
-    coordinate multiset.  Every orbit must have exactly group-order many
+    coordinate multiset, matched within ``EPS_DUP`` relative to the first
+    tuple's scale.  Every orbit must have exactly group-order many
     members; a wrong-sized orbit means duplicates, missing tuples or a
     tolerance failure.
     """
@@ -323,9 +337,10 @@ def orbit_count(
         return i
 
     for i in range(len(profiles)):
+        eps = EPS_DUP * _scale(tuples[i].zeta)
         for j in range(i + 1, len(profiles)):
             if root(i) != root(j) and all(
-                _same_multiset(a, b, eps_dup)
+                _same_multiset(a, b, eps)
                 for a, b in zip(profiles[i], profiles[j])
             ):
                 parent[root(j)] = root(i)
@@ -342,13 +357,14 @@ def orbit_count(
     return len(orbit_sizes)
 
 
-def _near_collisions(tuples, eps_dup: float) -> tuple[tuple[int, int], ...]:
+def _near_collisions(tuples) -> tuple[tuple[int, int], ...]:
     """Pairs of accepted tuples within 10x the dedup threshold: warnings."""
     out = []
     for i in range(len(tuples)):
         zi = np.asarray(tuples[i].zeta)
+        eps = 10 * EPS_DUP * _scale(zi)
         for j in range(i + 1, len(tuples)):
-            if np.abs(zi - np.asarray(tuples[j].zeta)).max() < 10 * eps_dup:
+            if np.abs(zi - np.asarray(tuples[j].zeta)).max() < eps:
                 out.append((i, j))
     return tuple(out)
 
@@ -396,11 +412,12 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
         )
 
     found = len(result.tuples)
-    orbits = orbit_count(result.tuples, classes, cfg.eps_dup) if found else 0
+    orbits = orbit_count(result.tuples, classes) if found else 0
     if incomplete or found < expected_tuples:
         status = "incomplete"
     elif expected_tuples == 0:
-        status = "consistent"
+        # an empty budget is evidence of nothing
+        status = "consistent" if result.starts else "incomplete"
     else:
         status = "verified"
     return VerificationReport(
@@ -414,6 +431,6 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
         converged=result.converged,
         deduplicated=result.deduplicated,
         status=status,
-        near_collisions=_near_collisions(result.tuples, cfg.eps_dup),
+        near_collisions=_near_collisions(result.tuples),
         tuples=result.tuples,
     )

@@ -163,6 +163,17 @@ def test_verify_incomplete_reports_but_exits_zero():
     assert doc["status"] == "incomplete"
 
 
+def test_verify_zero_fiber_with_empty_budget_is_incomplete():
+    # no starts is no evidence, even where nothing is to be found
+    code, out, _ = run_cli(
+        "verify", '{"d":4,"lambda":["0","2","0","2"]}', "--budget-factor", "0"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["starts"] == 0
+    assert doc["status"] == "incomplete"
+
+
 def test_verify_degree_cap_exits_one():
     code, _, err = run_cli(
         "verify",
@@ -174,11 +185,10 @@ def test_verify_degree_cap_exits_one():
     assert "cap" in err
 
 
-def test_verify_bad_batch_size_exits_one():
-    for value in ("0", "-1"):
-        code, _, err = run_cli("verify", FIXTURE, "--batch-size", value)
-        assert code == 1
-        assert "batch_size" in err
+def test_verify_bad_budget_factor_exits_one():
+    code, _, err = run_cli("verify", FIXTURE, "--budget-factor", "-1")
+    assert code == 1
+    assert "budget_factor" in err
 
 
 def test_count_gaussian_scalars():

@@ -1,5 +1,7 @@
 """Numerical oracle: system construction, Newton solve, orbit grouping."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -223,17 +225,10 @@ def test_verify_is_deterministic_under_seed():
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("batch_size", 0),
-        ("batch_size", -1),
-        ("max_iter", 0),
         ("max_degree", 0),
         ("budget_factor", -1),
         ("seed", -1),
-        ("eps_res", 0.0),
-        ("eps_dup", -1e-6),
-        ("eps_sep", float("nan")),
         ("eps_mult", 0.0),
-        ("blowup", 0.0),
     ],
 )
 def test_solver_config_rejects_bad_values(field, value):
@@ -259,3 +254,17 @@ def test_verify_enforces_relative_multiplier_tolerance():
     spec = from_shifts(["1/1000000", "2/1000000", "-3/1000000"])
     report = verify_spectrum(spec)
     assert report.status == "verified"
+
+
+@pytest.mark.parametrize(
+    "scale", ["1/10000000000", "1/1000000", "1", "1000", "1000000000"]
+)
+def test_verify_is_scale_free(scale):
+    # max|zeta| runs from about 1.5e3 down to 7e-4 as mu grows, and the
+    # start radius 2(1 + max|lambda|) from about 2e10 down to 4
+    t = Fraction(scale)
+    spec = from_shifts([str(k * t) for k in (1, 2, 3, -6)])
+    report = verify_spectrum(spec)
+    assert report.status == "verified"
+    assert report.found_tuples == report.expected_tuples == 6
+    assert report.mc_orbits == report.expected_orbits
