@@ -17,7 +17,7 @@ import sys
 
 from . import counting, polyfam
 from .errors import InputError, InternalCheckError, SpectrumFormatError
-from .lattice import enumerate_lattice, FULL_ENUM_CAP
+from .lattice import enumerate_lattice
 from .spectrum import generate, spectrum_from_obj, spectrum_to_obj
 
 
@@ -68,7 +68,7 @@ def _emit(document: dict, path: str | None) -> None:
 
 def _cmd_count(args) -> int:
     spec = _load_spectrum(args.input)
-    report = counting.fiber_report(spec, cap=args.cap)
+    report = counting.fiber_report(spec)
     _emit(
         {
             "spectrum": spectrum_to_obj(spec),
@@ -91,7 +91,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_lattice(args) -> int:
     spec = _load_spectrum(args.input)
-    lat = enumerate_lattice(spec, cap=args.cap)
+    lat = enumerate_lattice(spec)
     _emit(
         {
             "spectrum": spectrum_to_obj(spec),
@@ -220,12 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="all fiber counts with agreement check")
     add_io(p)
-    p.add_argument("--cap", type=int, default=FULL_ENUM_CAP, help="enumeration degree cap")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("lattice", help="dump the zero-sum partition lattice")
     add_io(p)
-    p.add_argument("--cap", type=int, default=FULL_ENUM_CAP)
     p.set_defaults(func=_cmd_lattice)
 
     p = sub.add_parser("polyfam", help="coarsening polynomial table")

@@ -51,10 +51,10 @@ from .errors import (
     PartitionNotInLatticeError,
 )
 from .lattice import (
-    FULL_ENUM_CAP,
     BlockPartition,
     Lattice,
     enumerate_lattice,
+    group_by_low_bit,
     inner_block_count,
     refines,
     zero_sum_subsets,
@@ -292,9 +292,7 @@ def expansion_in_factorial_weights(lat: Lattice) -> dict[BlockPartition, int]:
 
 # --- one pass over the zero-sum masks ---------------------------------------------
 
-def mask_counts(
-    spec: Spectrum, cap: int = FULL_ENUM_CAP
-) -> tuple[dict[str, int], int, int]:
+def mask_counts(spec: Spectrum) -> tuple[dict[str, int], int, int]:
     """All three routes in one pass over the zero-sum masks, no partitions.
 
     Returns the count by route name, the number of partitions P (the
@@ -304,20 +302,17 @@ def mask_counts(
     prod (|C|-1)! and of 1.  A proper partition of B is its block b that
     holds the lowest index of B together with a partition of B without b,
     which is zero-sum, smaller and visited earlier; so every proper
-    partition is counted once.
+    partition is counted once.  ``group_by_low_bit`` bounds the pairs (b, B).
     """
-    subsets = zero_sum_subsets(spec, cap)
     d = spec.d
-    full = (1 << d) - 1
+    masks = zero_sum_subsets(spec) + [(1 << d) - 1]
     fact = [factorial(i) for i in range(d + 1)]
-    by_low: dict[int, list[int]] = {}
-    for mask in subsets:
-        by_low.setdefault(mask & -mask, []).append(mask)
+    by_low = group_by_low_bit(masks)
 
     weight: dict[int, int] = {}  # w(B) = (|B|-1) * count of B
     graded: dict[int, tuple[list[int], list[int], list[int]]] = {}
     # Ascending masks: every proper subset of a mask comes before it.
-    for mask in subsets + [full]:
+    for mask in masks:
         n = mask.bit_count()
         g = [0] * (n // 2 + 1)  # blocks have size >= 2, index = block count
         f = g.copy()
@@ -357,7 +352,7 @@ def mask_counts(
         "refinement": w // (d - 1),
         "closed_form": signed // (d - 1),
     }
-    return by_engine, sum(c), len(subsets)
+    return by_engine, sum(c), len(masks) - 1
 
 
 # --- aggregate report -------------------------------------------------------------
@@ -378,11 +373,9 @@ class FiberReport:
     zero_sum_subsets: int
 
 
-def fiber_report(spec: Spectrum, cap: int | None = None) -> FiberReport:
+def fiber_report(spec: Spectrum) -> FiberReport:
     """Run all three routes, check agreement and bounds, collect the counts."""
-    by_engine, partitions, zero_sum = mask_counts(
-        spec, FULL_ENUM_CAP if cap is None else cap
-    )
+    by_engine, partitions, zero_sum = mask_counts(spec)
     d = spec.d
     values = set(by_engine.values())
     if len(values) != 1:

@@ -56,7 +56,7 @@ class SpectrumFormatError(InputError):
 # --- lattice -----------------------------------------------------------------
 
 class DimensionCapError(InputError):
-    """Degree above the configured cap for full subset enumeration."""
+    """Degree or block-pair work above a fixed limit, refused before it starts."""
 
 
 class GroundSetMismatchError(InputError):

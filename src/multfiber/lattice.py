@@ -1,16 +1,19 @@
 """Zero-sum subset structure of a spectrum.
 
-Index sets are bitmasks over {0,...,d-1} (bit i = index i, d <= 63).  A
-block partition splits the full index set into disjoint blocks whose shift
-sums all vanish exactly; the lattice collects every such partition,
-including the trivial one-block partition, ordered by refinement.
+Index sets are bitmasks over {0,...,d-1} (bit i = index i).  A block
+partition splits the full index set into disjoint blocks whose shift sums
+all vanish exactly; the lattice collects every such partition, including
+the trivial one-block partition, ordered by refinement.
 
-Enumeration runs in two stages: a single 2^d scan with incremental integer
-sums finds all zero-sum subsets, then an exact-cover search assembles
-partitions, always extending with the block containing the smallest
-uncovered index, which yields each partition exactly once and in canonical
-block order.  Results are immutable and shareable; enumeration itself is
-single-threaded per spectrum.
+Enumeration runs in two stages: one scan doubles a list of the exact
+integer sums of all 2^d subsets and keeps the zero ones, then an
+exact-cover search assembles partitions, always extending with the block
+containing the smallest uncovered index, which yields each partition
+exactly once and in canonical block order.  ``MAX_SCAN_DEGREE`` bounds the
+scan and ``MAX_PAIR_WORK`` the block pairs that the cover search and the
+counting pass try; each raises ``DimensionCapError`` before its work.  No
+spectrum with d <= 16 reaches either: it has at most C(16, 8) zero-sum
+subsets (Littlewood-Offord).  Results are immutable and shareable.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .errors import DimensionCapError, GroundSetMismatchError
 if TYPE_CHECKING:
     from .spectrum import Spectrum
 
-FULL_ENUM_CAP = 16  # 2^d scan stays sub-second up to here
-HARD_CAP = 63  # bitmask representation limit
+MAX_SCAN_DEGREE = 22  # 2^22 subset sums: under 1 s and about 250 MB
+MAX_PAIR_WORK = 10**8  # block pairs: about 10 s of counting at 100 ns each
 
 
 def mask_indices(mask: int) -> tuple[int, ...]:
@@ -39,36 +42,45 @@ def mask_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def zero_sum_subsets(spec: "Spectrum", cap: int = FULL_ENUM_CAP) -> list[int]:
+def zero_sum_subsets(spec: "Spectrum") -> list[int]:
     """All proper nonempty index sets with exactly vanishing shift sum.
 
     Every returned subset has size >= 2, because single shifts are nonzero.
     Masks come in ascending order, so each follows all of its subsets.
     """
     d = spec.d
-    if d > min(cap, HARD_CAP):
-        raise DimensionCapError(f"degree {d} above enumeration cap {min(cap, HARD_CAP)}")
-    # Clear denominators once so the 2^d scan runs on plain integers.
+    if d > MAX_SCAN_DEGREE:
+        raise DimensionCapError(f"degree {d} above the scan limit {MAX_SCAN_DEGREE}")
+    # Clear denominators and pack each shift as re*k + im; |subset im sum|
+    # < k/2, so a packed sum is 0 exactly when both parts are.
     denom = 1
     for m in spec.mu:
         denom = lcm(denom, m.re.denominator, m.im.denominator)
-    res = [int(m.re * denom) for m in spec.mu]
     ims = [int(m.im * denom) for m in spec.mu]
+    k = 2 * sum(map(abs, ims)) + 1
+    sums = [0]  # sums[mask] is the packed sum over mask
+    for m, im in zip(spec.mu, ims):
+        v = int(m.re * denom) * k + im
+        sums += [s + v for s in sums]
+    return [mask for mask in range(1, len(sums) - 1) if not sums[mask]]
 
-    size = 1 << d
-    sum_re = [0] * size
-    sum_im = [0] * size
-    hits = []
-    full = size - 1
-    for mask in range(1, size):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        rest = mask ^ low
-        sum_re[mask] = sum_re[rest] + res[i]
-        sum_im[mask] = sum_im[rest] + ims[i]
-        if mask != full and sum_re[mask] == 0 and sum_im[mask] == 0:
-            hits.append(mask)
-    return hits
+
+def group_by_low_bit(masks: list[int]) -> dict[int, list[int]]:
+    """Masks keyed by their lowest set bit, each list in the given order.
+
+    The cover search and the counting pass join only masks that share their
+    lowest bit, so they try at most W = sum of C(len(group), 2) pairs; W
+    above ``MAX_PAIR_WORK`` raises ``DimensionCapError``.
+    """
+    groups: dict[int, list[int]] = {}
+    for mask in masks:
+        groups.setdefault(mask & -mask, []).append(mask)
+    work = sum(len(g) * (len(g) - 1) // 2 for g in groups.values())
+    if work > MAX_PAIR_WORK:
+        raise DimensionCapError(
+            f"{work} block pairs above the pair-work limit {MAX_PAIR_WORK}"
+        )
+    return groups
 
 
 @dataclass(frozen=True)
@@ -170,20 +182,16 @@ class Lattice:
                 yield other
 
 
-def _cover_partitions(candidates: list[int], full: int) -> Iterator[tuple[int, ...]]:
-    """Exact covers of ``full`` by candidate blocks, canonical order."""
-    by_low: dict[int, list[int]] = {}
-    for mask in candidates:
-        by_low.setdefault((mask & -mask).bit_length() - 1, []).append(mask)
-
+def _cover_partitions(by_low: dict[int, list[int]], full: int) -> Iterator[tuple[int, ...]]:
+    """Exact covers of ``full`` by the grouped blocks, canonical order."""
     chosen: list[int] = []
 
     def extend(covered: int):
         if covered == full:
             yield tuple(chosen)
             return
-        lowest_free = (~covered & full) & -(~covered & full)
-        for mask in by_low.get(lowest_free.bit_length() - 1, ()):
+        free = ~covered & full
+        for mask in by_low.get(free & -free, ()):
             if mask & covered:
                 continue
             chosen.append(mask)
@@ -193,12 +201,12 @@ def _cover_partitions(candidates: list[int], full: int) -> Iterator[tuple[int, .
     yield from extend(0)
 
 
-def enumerate_lattice(spec: "Spectrum", cap: int = FULL_ENUM_CAP) -> Lattice:
+def enumerate_lattice(spec: "Spectrum") -> Lattice:
     """Enumerate every partition of the index set into zero-sum blocks."""
     d = spec.d
-    subsets = zero_sum_subsets(spec, cap)
+    subsets = zero_sum_subsets(spec)
     full = (1 << d) - 1
-    candidates = subsets + [full]  # whole set sums to zero by membership
-    partitions = [BlockPartition(blocks) for blocks in _cover_partitions(candidates, full)]
+    by_low = group_by_low_bit(subsets + [full])  # whole set sums to zero
+    partitions = [BlockPartition(blocks) for blocks in _cover_partitions(by_low, full)]
     partitions.sort(key=lambda p: (p.block_count, p.blocks))
     return Lattice(d=d, partitions=tuple(partitions), zero_sum_count=len(subsets))

@@ -240,14 +240,14 @@ def spectrum_from_obj(obj) -> Spectrum:
     if len(keys) != 1:
         raise SpectrumFormatError('exactly one of "lambda" or "mu" is required')
     values = obj[keys[0]]
-    if not isinstance(values, list):
+    # JSON true/false decode as bool, a subclass of int: not scalars here
+    if not isinstance(values, list) or any(type(v) not in (str, int, float) for v in values):
         raise SpectrumFormatError(f'"{keys[0]}" must be a list of scalars')
     try:
         parsed = [as_gaussian(v) for v in values]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: 1e400 is inf
         raise SpectrumFormatError(str(exc)) from None
-    if "d" in obj and obj["d"] != len(parsed):
-        raise SpectrumFormatError(
-            f'"d" is {obj["d"]} but {len(parsed)} values were given'
-        )
+    d = obj.get("d", len(parsed))
+    if type(d) is not int or d != len(parsed):
+        raise SpectrumFormatError(f'"d" must be the integer {len(parsed)}; got {d!r}')
     return validate(parsed) if keys[0] == "lambda" else from_shifts(parsed)

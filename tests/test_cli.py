@@ -66,6 +66,20 @@ def test_invalid_input_exits_one():
         assert err.strip()
 
 
+def test_malformed_scalars_exit_one_without_traceback():
+    for bad in [
+        '{"lambda":[null,"2"]}',
+        '{"lambda":[["0"],"2"]}',
+        '{"lambda":[{"re":"0"},"2"]}',
+        '{"mu":[true,"-1"]}',
+        '{"lambda":[1e400,"2"]}',
+        '{"d":"2","lambda":["0","2"]}',
+    ]:
+        code, _, err = run_cli("count", bad)
+        assert code == 1, bad
+        assert err.startswith("error:") and "Traceback" not in err, err
+
+
 def test_usage_error_exits_one():
     code, _, err = run_cli("count")
     assert code == 1

@@ -6,9 +6,11 @@ via direct recursive set-partition enumeration with a per-block filter.
 """
 
 import itertools
+import time
 
 import pytest
 
+from multfiber.counting import fiber_report
 from multfiber.errors import DimensionCapError, GroundSetMismatchError
 from multfiber.exactnum import ZERO
 from multfiber.lattice import (
@@ -87,9 +89,15 @@ def test_zero_sum_subsets_match_brute_force():
         generate([2, 2, 2], seed=1),
         generate([3, 3], seed=2),
         generate([2, 3, 2], seed=5),
+        # Gaussian: re and im parts must vanish together
+        from_shifts(["1-1i", "-1+1i", "2", "-2"]),
+        from_shifts(["1+1i", "1-1i", "-2", "1i", "-1i"]),
+        from_shifts(["1/2+1/3i", "-1/2", "-1/3i", "1+1i", "-1-1i"]),
+        from_shifts(["1i", "-1i", "2i", "-2i", "1", "-1"]),
     ]
     for spec in cases:
-        assert sorted(zero_sum_subsets(spec)) == brute_zero_sum_subsets(spec)
+        # ascending order is part of the contract: mask_counts relies on it
+        assert zero_sum_subsets(spec) == brute_zero_sum_subsets(spec)
 
 
 def test_zero_sum_subsets_have_size_at_least_two():
@@ -99,10 +107,17 @@ def test_zero_sum_subsets_have_size_at_least_two():
 
 
 def test_dimension_cap():
-    spec = from_shifts([1] * 16 + [-16])
+    # the scan takes any d up to 22, with no override
+    assert zero_sum_subsets(from_shifts([1] * 16 + [-16])) == []
     with pytest.raises(DimensionCapError):
-        zero_sum_subsets(spec)
-    assert len(zero_sum_subsets(spec, cap=17)) >= 0  # override allows it
+        zero_sum_subsets(from_shifts([1] * 22 + [-22]))
+    # +-1 at d=18 has about 3.9e8 block pairs: refused before the work
+    spec = from_shifts([1, -1] * 9)
+    for run in (fiber_report, enumerate_lattice):
+        start = time.perf_counter()
+        with pytest.raises(DimensionCapError):
+            run(spec)
+        assert time.perf_counter() - start < 1
 
 
 def test_enumerate_lattice_examples():

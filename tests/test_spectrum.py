@@ -175,6 +175,17 @@ def test_json_schema_errors():
         spectrum_from_obj({"lambda": ["0", "nope"]})
     with pytest.raises(SpectrumFormatError):
         spectrum_from_obj(["0", "2"])
+    for values in (
+        [None, "2"],
+        [["0"], "2"],
+        [{"re": "0"}, "2"],
+        [True, "-1"],  # JSON true is not the integer 1
+        [1e400, "2"],  # JSON 1e400 decodes as inf
+    ):
+        with pytest.raises(SpectrumFormatError):
+            spectrum_from_obj({"mu": values})
+    with pytest.raises(SpectrumFormatError):
+        spectrum_from_obj({"d": "2", "lambda": ["0", "2"]})
 
 
 def test_restrict_builds_subspectrum():
