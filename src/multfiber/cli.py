@@ -12,6 +12,7 @@ precision survives JSON.  Exit codes: 0 success, 1 invalid input,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -140,17 +141,11 @@ def _cmd_identity_check(args) -> int:
     failures = []
     checked = 0
     for l in range(2, args.max_l + 1):
-        stack = [()]
-        while stack:
-            prefix = stack.pop()
-            if len(prefix) == l:
-                checked += 1
-                total = polyfam.vanishing_sum(prefix)
-                if total != 0:
-                    failures.append({"sizes": list(prefix), "sum": str(total)})
-                continue
-            for s in range(2, args.max_size + 1):
-                stack.append(prefix + (s,))
+        for sizes in itertools.product(range(2, args.max_size + 1), repeat=l):
+            checked += 1
+            total = polyfam.vanishing_sum(sizes)
+            if total != 0:
+                failures.append({"sizes": list(sizes), "sum": str(total)})
     _emit({"checked": checked, "failures": failures, "ok": not failures}, args.output)
     return 0 if not failures else 2
 
@@ -260,10 +255,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InputError as exc:
+    except (_CliError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalCheckError as exc:

@@ -26,6 +26,9 @@ The partition-based functions (``fiber_size`` with either engine,
 ``fiber_size_closed_form``, ``refinement_weights``, ``weight_from_*``)
 enumerate the lattice and recurse into restricted sub-spectra or strict
 refinements; they are the slow reference the tests hold the mask pass to.
+They share one refinement walk (``Lattice.strict_refinements`` with the
+falling-span product ``_refinement_span``) and one sub-spectrum weight
+(``_subspectra_weight``).
 
 All routes must agree exactly; disagreement or a failed exact division is
 an internal error, never bad input.  From the multiplicity count the two
@@ -56,7 +59,6 @@ from .lattice import (
     enumerate_lattice,
     group_by_low_bit,
     inner_block_count,
-    refines,
     zero_sum_subsets,
 )
 from .spectrum import Spectrum, ValueClasses, value_classes
@@ -74,6 +76,13 @@ def falling_span(size: int, inner: int) -> int:
     return factorial(size - 1) // factorial(size - inner)
 
 
+def _exact_quotient(total: int, divisor: int, what: str) -> int:
+    """total // divisor for a division that is exact by theory."""
+    if total % divisor:
+        raise DivisibilityError(f"{what} {total} not divisible by {divisor}")
+    return total // divisor
+
+
 def factorial_weight(part: BlockPartition) -> int:
     """prod over blocks of (size - 1)!; the leading term of a weight."""
     w = 1
@@ -84,23 +93,35 @@ def factorial_weight(part: BlockPartition) -> int:
 
 # --- the two recursive weight routes -----------------------------------------
 
-def weight_from_subspectra(
-    spec: Spectrum,
-    part: BlockPartition,
-    lat: Lattice | None = None,
-    memo: dict | None = None,
-) -> int:
-    """Partition weight as prod over blocks of (size-1) * subcount(block)."""
-    lat = lat if lat is not None else enumerate_lattice(spec)
+def _require_proper(part: BlockPartition, lat: Lattice) -> None:
     if part not in lat.proper:
         raise PartitionNotInLatticeError(f"{part} not a proper lattice element")
-    if memo is None:
-        memo = {}
+
+
+def _subspectra_weight(spec: Spectrum, part: BlockPartition, memo: dict) -> int:
+    """prod over blocks C of (|C|-1) * count of the sub-spectrum on C."""
     w = 1
     for block in part.blocks:
-        n = block.bit_count()
-        w *= (n - 1) * _fiber_size(spec.restrict(block), None, "subspectra", memo)
+        w *= (block.bit_count() - 1) * fiber_size(
+            spec.restrict(block), None, "subspectra", memo
+        )
     return w
+
+
+def _refinement_span(part: BlockPartition, finer: BlockPartition) -> int:
+    """prod over blocks C of ``part`` of falling_span(|C|, #finer blocks in C)."""
+    span = 1
+    for block in part.blocks:
+        span *= falling_span(block.bit_count(), inner_block_count(block, finer))
+    return span
+
+
+def weight_from_subspectra(
+    spec: Spectrum, part: BlockPartition, lat: Lattice | None = None
+) -> int:
+    """Partition weight as prod over blocks of (size-1) * subcount(block)."""
+    _require_proper(part, lat if lat is not None else enumerate_lattice(spec))
+    return _subspectra_weight(spec, part, {})
 
 
 def refinement_weights(lat: Lattice) -> dict[BlockPartition, int]:
@@ -109,19 +130,12 @@ def refinement_weights(lat: Lattice) -> dict[BlockPartition, int]:
     Finer partitions have strictly more blocks, so processing in order of
     decreasing block count resolves every dependency.
     """
-    ordered = sorted(lat.proper, key=lambda p: -p.block_count)
     weights: dict[BlockPartition, int] = {}
-    for part in ordered:
-        acc = factorial_weight(part)
-        for finer, w_finer in weights.items():
-            if finer.block_count > part.block_count and refines(part, finer):
-                span = 1
-                for block in part.blocks:
-                    span *= falling_span(
-                        block.bit_count(), inner_block_count(block, finer)
-                    )
-                acc -= w_finer * span
-        weights[part] = acc
+    for part in sorted(lat.proper, key=lambda p: -p.block_count):
+        weights[part] = factorial_weight(part) - sum(
+            weights[finer] * _refinement_span(part, finer)
+            for finer in lat.strict_refinements(part)
+        )
     return weights
 
 
@@ -129,8 +143,7 @@ def weight_from_refinements(
     part: BlockPartition, lat: Lattice
 ) -> int:
     """Single partition weight via the refinement recursion."""
-    if part not in lat.proper:
-        raise PartitionNotInLatticeError(f"{part} not a proper lattice element")
+    _require_proper(part, lat)
     return refinement_weights(lat)[part]
 
 
@@ -150,29 +163,19 @@ def fiber_size(
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return _fiber_size(spec, lat, engine, {} if memo is None else memo)
-
-
-def _fiber_size(spec: Spectrum, lat: Lattice | None, engine: str, memo: dict) -> int:
+    memo = {} if memo is None else memo
     key = (engine, spec.shift_key())
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+    if key in memo:
+        return memo[key]
     d = spec.d
-    if lat is None:
-        lat = enumerate_lattice(spec)
-    total = factorial(d - 2)
+    lat = lat if lat is not None else enumerate_lattice(spec)
     if engine == "refinement":
         weights = refinement_weights(lat)
-        for part in lat.proper:
-            total -= weights[part] * rising_span(d, part.block_count)
     else:
-        for part in lat.proper:
-            w = 1
-            for block in part.blocks:
-                n = block.bit_count()
-                w *= (n - 1) * _fiber_size(spec.restrict(block), None, engine, memo)
-            total -= w * rising_span(d, part.block_count)
+        weights = {part: _subspectra_weight(spec, part, memo) for part in lat.proper}
+    total = factorial(d - 2) - sum(
+        weights[part] * rising_span(d, part.block_count) for part in lat.proper
+    )
     memo[key] = total
     return total
 
@@ -189,11 +192,7 @@ def fiber_size_closed_form(spec: Spectrum, lat: Lattice | None = None) -> int:
     total = 0
     for part in lat.partitions:
         total += (-(d - 1)) ** (part.block_count - 1) * factorial_weight(part)
-    if total % (d - 1):
-        raise DivisibilityError(
-            f"signed lattice sum {total} not divisible by {d - 1}"
-        )
-    return total // (d - 1)
+    return _exact_quotient(total, d - 1, "signed lattice sum")
 
 
 # --- discrete counts ------------------------------------------------------------
@@ -223,13 +222,7 @@ def monic_centered_count(
         size = fiber_size_closed_form(spec, lat)
     if classes is None:
         classes = value_classes(spec)
-    order = classes.group_order()
-    total = (spec.d - 1) * size
-    if total % order:
-        raise DivisibilityError(
-            f"(d-1)*count = {total} not divisible by class order {order}"
-        )
-    return total // order
+    return _exact_quotient((spec.d - 1) * size, classes.group_order(), "(d-1)*count")
 
 
 def conjugacy_count(
@@ -249,12 +242,7 @@ def conjugacy_count(
         return None
     if size is None:
         size = fiber_size_closed_form(spec, lat)
-    order = classes.group_order()
-    if size % order:
-        raise DivisibilityError(
-            f"count {size} not divisible by class order {order}"
-        )
-    return size // order
+    return _exact_quotient(size, classes.group_order(), "count")
 
 
 # --- symbolic expansion in factorial weights (test instrumentation) -------------
@@ -268,19 +256,13 @@ def expansion_in_factorial_weights(lat: Lattice) -> dict[BlockPartition, int]:
     returns the coefficient map.  Used by regression tests only.
     """
     d = lat.d
-    ordered = sorted(lat.proper, key=lambda p: -p.block_count)
     expansions: dict[BlockPartition, dict[BlockPartition, int]] = {}
-    for part in ordered:
+    for part in sorted(lat.proper, key=lambda p: -p.block_count):
         combo = {part: 1}
-        for finer, finer_combo in expansions.items():
-            if finer.block_count > part.block_count and refines(part, finer):
-                span = 1
-                for block in part.blocks:
-                    span *= falling_span(
-                        block.bit_count(), inner_block_count(block, finer)
-                    )
-                for basis, coeff in finer_combo.items():
-                    combo[basis] = combo.get(basis, 0) - span * coeff
+        for finer in lat.strict_refinements(part):
+            span = _refinement_span(part, finer)
+            for basis, coeff in expansions[finer].items():
+                combo[basis] = combo.get(basis, 0) - span * coeff
         expansions[part] = combo
     coeffs: dict[BlockPartition, int] = {}
     for part in lat.proper:
@@ -343,14 +325,10 @@ def mask_counts(spec: Spectrum) -> tuple[dict[str, int], int, int]:
     # The full mask came last, so g, f, c, sub and w are its values; w is
     # divisible by d-1 because w == (d-1) * sub was just checked.
     signed = sum((-(d - 1)) ** (k - 1) * f[k] for k in range(1, len(f)))
-    if signed % (d - 1):
-        raise DivisibilityError(
-            f"signed lattice sum {signed} not divisible by {d - 1}"
-        )
     by_engine = {
         "subspectra": sub,
         "refinement": w // (d - 1),
-        "closed_form": signed // (d - 1),
+        "closed_form": _exact_quotient(signed, d - 1, "signed lattice sum"),
     }
     return by_engine, sum(c), len(masks) - 1
 

@@ -56,7 +56,13 @@ class SpectrumFormatError(InputError):
 # --- lattice -----------------------------------------------------------------
 
 class DimensionCapError(InputError):
-    """Degree or block-pair work above a fixed limit, refused before it starts."""
+    """Work above a fixed limit, refused before it starts.
+
+    The limits: scan degree (``lattice.MAX_SCAN_DEGREE``), block pairs
+    (``lattice.MAX_PAIR_WORK``), partitions the lattice builds
+    (``lattice.MAX_PARTITIONS``), blocks of an abstract set partition
+    (``polyfam.MAX_BLOCKS``) and the solver's degree cap.
+    """
 
 
 class GroundSetMismatchError(InputError):

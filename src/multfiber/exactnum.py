@@ -117,9 +117,6 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def norm(self) -> Fraction:
         """Exact squared modulus re^2 + im^2."""
         return self.re * self.re + self.im * self.im
@@ -128,10 +125,6 @@ class GaussianRational:
 
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def sort_key(self) -> tuple[Fraction, Fraction]:
         return (self.re, self.im)

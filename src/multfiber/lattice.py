@@ -13,13 +13,16 @@ exactly once and in canonical block order.  ``MAX_SCAN_DEGREE`` bounds the
 scan and ``MAX_PAIR_WORK`` the block pairs that the cover search and the
 counting pass try; each raises ``DimensionCapError`` before its work.  No
 spectrum with d <= 16 reaches either: it has at most C(16, 8) zero-sum
-subsets (Littlewood-Offord).  Results are immutable and shareable.
+subsets (Littlewood-Offord).  ``MAX_PARTITIONS`` bounds the partitions
+the lattice builds (the counting pass builds none): the covers are counted
+first, and past the limit ``DimensionCapError`` comes before any partition
+is built.  Results are immutable and shareable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import islice
 from math import lcm
 from typing import TYPE_CHECKING, Iterator
 
@@ -30,6 +33,7 @@ if TYPE_CHECKING:
 
 MAX_SCAN_DEGREE = 22  # 2^22 subset sums: under 1 s and about 250 MB
 MAX_PAIR_WORK = 10**8  # block pairs: about 10 s of counting at 100 ns each
+MAX_PARTITIONS = 10**6  # partitions the lattice builds: about 11 s and 300 MB
 
 
 def mask_indices(mask: int) -> tuple[int, ...]:
@@ -168,13 +172,6 @@ class Lattice:
     def proper(self) -> tuple[BlockPartition, ...]:
         return self.partitions[1:]
 
-    def __contains__(self, part: BlockPartition) -> bool:
-        return part in self._members
-
-    @cached_property
-    def _members(self) -> frozenset:
-        return frozenset(self.partitions)
-
     def strict_refinements(self, part: BlockPartition) -> Iterator[BlockPartition]:
         """Proper lattice members strictly refining ``part``."""
         for other in self.proper:
@@ -207,6 +204,12 @@ def enumerate_lattice(spec: "Spectrum") -> Lattice:
     subsets = zero_sum_subsets(spec)
     full = (1 << d) - 1
     by_low = group_by_low_bit(subsets + [full])  # whole set sums to zero
-    partitions = [BlockPartition(blocks) for blocks in _cover_partitions(by_low, full)]
+    partitions = list(islice(_cover_partitions(by_low, full), MAX_PARTITIONS + 1))
+    if len(partitions) > MAX_PARTITIONS:
+        raise DimensionCapError(
+            f"more than {MAX_PARTITIONS} partitions, above the partition limit"
+        )
+    for i, blocks in enumerate(partitions):  # in place: each cover is freed as it goes
+        partitions[i] = BlockPartition(blocks)
     partitions.sort(key=lambda p: (p.block_count, p.blocks))
     return Lattice(d=d, partitions=tuple(partitions), zero_sum_count=len(subsets))

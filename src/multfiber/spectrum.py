@@ -82,38 +82,39 @@ class ValueClasses:
         return order
 
 
+def _shift_vector(values, shift, what: str, min_len: int = 2, error=OffHyperplaneError):
+    """``shift(i, v)`` over ``values``: checks the count first, the zero sum last."""
+    if len(values) < min_len:
+        raise DegreeTooSmallError(f"need degree >= {min_len}, got {len(values)}")
+    mu = tuple(shift(i, v) for i, v in enumerate(values))
+    total = sum(mu, ZERO)
+    if total != ZERO:
+        raise error(f"{what} sum to {total}, not 0")
+    return mu
+
+
+def _shift_of_multiplier(i: int, v: GaussianRational) -> GaussianRational:
+    if v == ONE:
+        raise UnitMultiplierError(f"multiplier at index {i} equals 1")
+    return reciprocal_shift(v)
+
+
+def _nonzero_shift(i: int, m: GaussianRational) -> GaussianRational:
+    if not m:
+        raise ZeroShiftTargetError(f"shift at index {i} is 0")
+    return m
+
+
 def validate(raw) -> Spectrum:
     """Build a Spectrum from multiplier values, rejecting invalid input."""
     lam = tuple(as_gaussian(v) for v in raw)
-    if len(lam) < 2:
-        raise DegreeTooSmallError(f"need degree >= 2, got {len(lam)}")
-    for i, v in enumerate(lam):
-        if v == ONE:
-            raise UnitMultiplierError(f"multiplier at index {i} equals 1")
-    mu = tuple(reciprocal_shift(v) for v in lam)
-    total = ZERO
-    for m in mu:
-        total = total + m
-    if total != ZERO:
-        raise OffHyperplaneError(f"reciprocal shifts sum to {total}, not 0")
-    return Spectrum(lam, mu)
+    return Spectrum(lam, _shift_vector(lam, _shift_of_multiplier, "reciprocal shifts"))
 
 
 def from_shifts(shifts) -> Spectrum:
     """Build a Spectrum from its shift vector (each mu_i = 1/(1-lambda_i))."""
-    mu = tuple(as_gaussian(v) for v in shifts)
-    if len(mu) < 2:
-        raise DegreeTooSmallError(f"need degree >= 2, got {len(mu)}")
-    for i, m in enumerate(mu):
-        if not m:
-            raise ZeroShiftTargetError(f"shift at index {i} is 0")
-    total = ZERO
-    for m in mu:
-        total = total + m
-    if total != ZERO:
-        raise OffHyperplaneError(f"shifts sum to {total}, not 0")
-    lam = tuple(multiplier_from_shift(m) for m in mu)
-    return Spectrum(lam, mu)
+    mu = _shift_vector([as_gaussian(v) for v in shifts], _nonzero_shift, "shifts")
+    return Spectrum(tuple(multiplier_from_shift(m) for m in mu), mu)
 
 
 def value_classes(spec: Spectrum) -> ValueClasses:
@@ -127,17 +128,21 @@ def value_classes(spec: Spectrum) -> ValueClasses:
 
 # --- test-spectrum generation -------------------------------------------------
 
-def _random_nonzero_fraction(rng: random.Random, bound: int) -> Fraction:
-    num = rng.randint(-bound, bound)
+TARGET_BOUND = 20  # numerator and denominator bound of random shift targets
+EXACT_TRIES = 500  # redraws before ``generate(exact=True)`` gives up
+
+
+def _random_nonzero_fraction(rng: random.Random) -> Fraction:
+    num = rng.randint(-TARGET_BOUND, TARGET_BOUND)
     while num == 0:
-        num = rng.randint(-bound, bound)
-    return Fraction(num, rng.randint(1, bound))
+        num = rng.randint(-TARGET_BOUND, TARGET_BOUND)
+    return Fraction(num, rng.randint(1, TARGET_BOUND))
 
 
-def _draw_block(rng: random.Random, size: int, bound: int) -> list[GaussianRational]:
+def _draw_block(rng: random.Random, size: int) -> list[GaussianRational]:
     """Random zero-sum block of nonzero rational shift targets."""
     while True:
-        head = [_random_nonzero_fraction(rng, bound) for _ in range(size - 1)]
+        head = [_random_nonzero_fraction(rng) for _ in range(size - 1)]
         last = -sum(head)
         if last != 0:
             return [GaussianRational(v) for v in head] + [GaussianRational(last)]
@@ -155,26 +160,19 @@ def _expected_masks(block_masks: list[int]) -> set[int]:
     return masks
 
 
-def generate(
-    plan,
-    *,
-    seed: int = 0,
-    exact: bool = False,
-    bound: int = 20,
-    max_tries: int = 500,
-) -> Spectrum:
+def generate(plan, *, seed: int = 0, exact: bool = False) -> Spectrum:
     """Build a spectrum whose lattice contains the block structure of ``plan``.
 
     Each plan item is either an explicit list of nonzero shift targets that
     sum to zero within the block, or an integer block size >= 2 meaning
     "draw random targets" (nonzero rationals with numerator and denominator
-    bounded by ``bound``); drawing is deterministic under a fixed seed.
-    Accidental zero sums may add extra lattice elements; with
-    ``exact=True`` candidates are redrawn until the zero-sum subsets are
-    precisely the unions of whole plan blocks.
+    bounded by ``TARGET_BOUND``); drawing is deterministic under a fixed
+    seed.  Accidental zero sums may add extra lattice elements; with
+    ``exact=True`` candidates are redrawn, at most ``EXACT_TRIES`` times,
+    until the zero-sum subsets are precisely the unions of whole plan blocks.
     """
     rng = random.Random(seed)
-    fixed: list[list[GaussianRational] | None] = []
+    fixed: list[tuple[GaussianRational, ...] | None] = []
     sizes: list[int] = []
     for block in plan:
         if isinstance(block, int):
@@ -185,15 +183,10 @@ def generate(
             fixed.append(None)
             sizes.append(block)
         else:
-            targets = [as_gaussian(v) for v in block]
-            for t in targets:
-                if not t:
-                    raise ZeroShiftTargetError("plan contains a zero shift target")
-            total = ZERO
-            for t in targets:
-                total = total + t
-            if total != ZERO:
-                raise BlockSumError(f"plan block sums to {total}, not 0")
+            targets = _shift_vector(
+                [as_gaussian(v) for v in block], _nonzero_shift, "plan block shifts",
+                min_len=0, error=BlockSumError,
+            )
             fixed.append(targets)
             sizes.append(len(targets))
     if not sizes:
@@ -207,10 +200,10 @@ def generate(
     expected = _expected_masks(block_masks)
     has_random = any(b is None for b in fixed)
 
-    for _ in range(max_tries):
+    for _ in range(EXACT_TRIES):
         targets: list[GaussianRational] = []
         for block, size in zip(fixed, sizes):
-            targets.extend(block if block is not None else _draw_block(rng, size, bound))
+            targets.extend(block if block is not None else _draw_block(rng, size))
         spec = from_shifts(targets)
         if not exact:
             return spec
@@ -222,7 +215,7 @@ def generate(
             raise ExactShapeError(
                 "explicit targets produce zero sums beyond the plan blocks"
             )
-    raise ExactShapeError(f"no exact-lattice spectrum found in {max_tries} tries")
+    raise ExactShapeError(f"no exact-lattice spectrum found in {EXACT_TRIES} tries")
 
 
 # --- JSON document form -------------------------------------------------------

@@ -232,13 +232,11 @@ def solve_system(
     """
     cfg = cfg or SolverConfig()
     d = spec.d
-    if d < 3:
-        raise DegreeTooSmallError("solver needs degree >= 3")
+    system = SigmaSystem(spec)  # refuses d < 3 first
     if d > cfg.max_degree:
         raise DimensionCapError(f"degree {d} above solver cap {cfg.max_degree}")
     if expected is None:
         expected = fiber_report(spec).e_I0
-    system = SigmaSystem(spec)
     rng = np.random.default_rng(cfg.seed)
     radius = 2.0 * (1.0 + spec.max_multiplier_modulus())
     budget = cfg.budget_factor * (d - 1) * max(expected // max(d - 1, 1), 1)

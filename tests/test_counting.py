@@ -260,9 +260,19 @@ def test_four_block_symbolic_coefficient():
         assert coeffs[maximal] == -((d - 1) ** 2)
 
 
+# i, -i, 1, -1, 1+i, -1-i: zero-sum pairs and crossing triples
+GAUSSIAN_RICH = ["0+1i", "0-1i", "1", "-1", "1+1i", "-1-1i"]
+# 1 and -1 three times each: many blocks with equal shift multisets
+REPEATED = [1, 1, 1, -1, -1, -1, 2, -2]
+
+
 def test_symbolic_expansion_reproduces_count_numerically():
-    for plan, seed, exact in [([2, 2, 2], 3, True), ([2, 2, 2, 2], 4, True), ([2, 2], 5, False)]:
-        spec = generate(plan, seed=seed, exact=exact)
+    specs = [
+        generate(plan, seed=seed, exact=exact)
+        for plan, seed, exact in [([2, 2, 2], 3, True), ([2, 2, 2, 2], 4, True), ([2, 2], 5, False)]
+    ]
+    specs += [from_shifts(shifts) for shifts in (GAUSSIAN_RICH, REPEATED)]
+    for spec in specs:
         lat = enumerate_lattice(spec)
         coeffs = expansion_in_factorial_weights(lat)
         total = factorial(spec.d - 2) + sum(
@@ -304,11 +314,17 @@ def test_counts_with_gaussian_shifts():
 
 
 def test_refinement_weights_whole_table_consistent():
-    spec = generate([2, 2, 2], seed=9, exact=True)
-    lat = enumerate_lattice(spec)
-    table = refinement_weights(lat)
-    for part, value in table.items():
-        assert value == weight_from_subspectra(spec, part, lat)
+    for spec in [
+        generate([2, 2, 2], seed=9, exact=True),
+        from_shifts([1, -1, 2, -2, 1, -1, 2, -2]),  # rich: +-1 and +-2 twice
+        from_shifts(GAUSSIAN_RICH),
+        from_shifts(REPEATED),
+    ]:
+        lat = enumerate_lattice(spec)
+        table = refinement_weights(lat)
+        assert set(table) == set(lat.proper)
+        for part, value in table.items():
+            assert value == weight_from_subspectra(spec, part, lat)
 
 
 # --- the mask pass against the partition references -------------------------------

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import multfiber.lattice
 from multfiber.counting import fiber_report
 from multfiber.errors import DimensionCapError, GroundSetMismatchError
 from multfiber.exactnum import ZERO
@@ -106,7 +107,7 @@ def test_zero_sum_subsets_have_size_at_least_two():
         assert all(m.bit_count() >= 2 for m in zero_sum_subsets(spec))
 
 
-def test_dimension_cap():
+def test_dimension_cap(monkeypatch):
     # the scan takes any d up to 22, with no override
     assert zero_sum_subsets(from_shifts([1] * 16 + [-16])) == []
     with pytest.raises(DimensionCapError):
@@ -118,6 +119,20 @@ def test_dimension_cap():
         with pytest.raises(DimensionCapError):
             run(spec)
         assert time.perf_counter() - start < 1
+    # the lattice builds at most MAX_PARTITIONS partitions; +-1 at d=8 has
+    # P = 131, counted without building one
+    spec = from_shifts([1, -1] * 4)
+    assert fiber_report(spec).lattice_partitions == 131
+    monkeypatch.setattr(multfiber.lattice, "MAX_PARTITIONS", 131)
+    assert len(enumerate_lattice(spec).partitions) == 131
+    monkeypatch.setattr(multfiber.lattice, "MAX_PARTITIONS", 130)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a partition was built past the limit")
+
+    monkeypatch.setattr(BlockPartition, "__post_init__", refuse)
+    with pytest.raises(DimensionCapError):
+        enumerate_lattice(spec)
 
 
 def test_enumerate_lattice_examples():
