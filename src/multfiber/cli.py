@@ -138,6 +138,7 @@ def _cmd_identity_check(args) -> int:
         total = polyfam.vanishing_sum(_parse_sizes(args.sizes))
         _emit({"sum": str(total), "ok": total == 0}, args.output)
         return 0 if total == 0 else 2
+    polyfam.require_sweep_within_limit(args.max_l, args.max_size)
     failures = []
     checked = 0
     for l in range(2, args.max_l + 1):

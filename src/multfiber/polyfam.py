@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .errors import DimensionCapError
 
 MAX_BLOCKS = 11  # Bell(11) = 678,570 set partitions: about 6 s and 290 MB
+MAX_SWEEP = 3_000_000  # set partitions per sweep: max_l 7, max_size 4 is 2.08M (7 s)
 
 
 @dataclass(frozen=True)
@@ -207,6 +208,22 @@ def vanishing_sum(block_sizes) -> int:
         factorial(d - 1) // factorial(d - k) * coarsening_sum(l, k, sizes)
         for k in range(1, l + 1)
     )
+
+
+def require_sweep_within_limit(max_l: int, max_size: int) -> None:
+    """Refuse, before it starts, a sweep over block counts 2..max_l and sizes
+    2..max_size: it builds (max_size - 1)^l * Bell(l) set partitions per l."""
+    if max_size < 2:
+        return  # no size vectors
+    bells, work = [1, 1], 0  # Bell(0), Bell(1), ...
+    for l in range(2, max_l + 1):
+        bells.append(sum(comb(l - 1, j) * b for j, b in enumerate(bells)))
+        work += (max_size - 1) ** l * bells[l]
+        if work > MAX_SWEEP:
+            raise DimensionCapError(
+                f"sweep over at least {work} set partitions, "
+                f"above the sweep limit {MAX_SWEEP}"
+            )
 
 
 def restriction_identity_holds(l: int, k: int, xs) -> bool:

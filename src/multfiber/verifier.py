@@ -15,26 +15,28 @@ coordinate permutations (a free action) recovers the monic-centered
 count; this module checks exactly that against the exact formulas, from
 the outside, in floating point.
 
-The solver runs damped Newton from batches of random starts (uniform in a
-disc per coordinate, then projected onto the zero-sum hyperplane, which
+The solver runs Newton from batches of random starts (uniform in a disc
+per coordinate, then projected onto the zero-sum hyperplane, which
 removes one unstable direction), filters converged tuples by residual and
-coordinate separation, and deduplicates.  Zero-fiber spectra are verified
-by exhausting the full start budget with nothing accepted, a weaker
-"consistent" outcome, since absence cannot be certified by sampling (an
-empty budget reads "incomplete").  Newton runs are independent and the
-final merge is deterministic, so the whole pass is reproducible under a
-fixed seed.
+coordinate separation, and deduplicates.  A start takes full Newton steps
+and stops, keeping its last iterate, at the first step that fails to lower
+its max-norm residual.  Zero-fiber spectra are verified by exhausting the
+full start budget with nothing accepted, a weaker "consistent" outcome,
+since absence cannot be certified by sampling (an empty budget reads
+"incomplete").  Newton runs are independent and the final merge is
+deterministic, so the whole pass is reproducible under a fixed seed.
 
 ``SolverConfig`` holds only what the caller asks: seed, start budget,
 degree cap and multiplier tolerance.  How the solver runs is fixed here.
-Residual bound, iteration cap and batch size are constants; a start dies
-beyond ``BLOWUP`` times the start radius 2(1 + max|lambda|); and the dedup,
-collision and orbit tolerances are relative to max(1, max_i |zeta_i|) of
-the tuple checked, so a spectrum verifies alike at any scale.
+Residual bound, iteration cap and batch size are constants; starts are
+drawn within the radius 2(1 + max|lambda|); and the dedup, collision and
+orbit tolerances are relative to max(1, max_i |zeta_i|) of the tuple
+checked, so a spectrum verifies alike at any scale.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,12 +56,10 @@ from .spectrum import Spectrum, ValueClasses, value_classes
 
 
 EPS_RES = 1e-10        # accept a tuple only below this residual
-NEWTON_TARGET = 1e-13  # Newton stops refining a start below this residual
 MAX_ITER = 200
 BATCH_SIZE = 512
 EPS_DUP = 1e-6         # relative: tuples closer than this are one solution
 EPS_SEP = 1e-7         # relative: coordinates closer than this are a collision
-BLOWUP = 1e7           # kill a start beyond this many start radii
 
 
 @dataclass(frozen=True)
@@ -135,12 +135,11 @@ class SigmaSystem:
         d = self.d
         F = np.empty_like(Z)
         F[:, 0] = Z.sum(axis=1)
-        P = Z.copy()
+        P = Z
         for k in range(1, d):
-            value = P @ self.mu
-            F[:, k] = value + 1 if k == d - 1 else value
-            if k < d - 1:
-                P = P * Z
+            F[:, k] = P @ self.mu
+            P = P * Z
+        F[:, d - 1] += 1
         return F
 
     def jacobian(self, Z: np.ndarray) -> np.ndarray:
@@ -151,8 +150,7 @@ class SigmaSystem:
         P = np.ones_like(Z)
         for k in range(1, d):
             J[:, k, :] = k * self.mu * P
-            if k < d - 1:
-                P = P * Z
+            P = P * Z
         return J
 
 
@@ -160,16 +158,12 @@ def build_system(spec: Spectrum) -> SigmaSystem:
     return SigmaSystem(spec)
 
 
-def _newton_batch(system: SigmaSystem, Z: np.ndarray, blowup: float) -> np.ndarray:
-    """Run damped Newton on every row of Z in place; returns final residuals."""
-    B = Z.shape[0]
-    active = np.ones(B, dtype=bool)
+def _newton_batch(system: SigmaSystem, Z: np.ndarray) -> np.ndarray:
+    """Newton on each row of Z in place until a step fails to lower its residual."""
+    F = system.residual(Z)
+    norms = np.abs(F).max(axis=1)
+    idx = np.flatnonzero(np.isfinite(norms))
     for _ in range(MAX_ITER):
-        F = system.residual(Z)
-        norms = np.abs(F).max(axis=1)
-        bad = ~np.isfinite(norms) | (np.abs(Z).max(axis=1) > blowup)
-        active &= ~bad & (norms >= NEWTON_TARGET)
-        idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         J = system.jacobian(Z[idx])
@@ -178,25 +172,14 @@ def _newton_batch(system: SigmaSystem, Z: np.ndarray, blowup: float) -> np.ndarr
             step = np.linalg.solve(J, rhs)[:, :, 0]
         except np.linalg.LinAlgError:
             step = (np.linalg.pinv(J) @ rhs)[:, :, 0]
-        base = np.maximum(norms[idx], NEWTON_TARGET)
-        scale = np.ones(idx.size)
         trial = Z[idx] + step
-        accepted = np.zeros(idx.size, dtype=bool)
-        best = trial.copy()
-        for _ in range(10):
-            trial_norm = np.abs(system.residual(trial)).max(axis=1)
-            ok = np.isfinite(trial_norm) & (trial_norm < base)
-            newly = ok & ~accepted
-            best[newly] = trial[newly]
-            accepted |= ok
-            if accepted.all():
-                break
-            scale = np.where(accepted, scale, scale * 0.5)
-            trial = Z[idx] + scale[:, None] * step
-        Z[idx[accepted]] = best[accepted]
-        # rows that never improved are stalled; drop them
-        active[idx[~accepted]] = False
-    return np.abs(system.residual(Z)).max(axis=1)
+        trial_F = system.residual(trial)
+        trial_norms = np.abs(trial_F).max(axis=1)
+        better = trial_norms < norms[idx]
+        idx = idx[better]
+        Z[idx], F[idx] = trial[better], trial_F[better]
+        norms[idx] = trial_norms[better]
+    return norms
 
 
 def _scale(zeta) -> float:
@@ -210,10 +193,14 @@ def _min_separation(zeta: np.ndarray) -> float:
     return float(diff.min())
 
 
-def _disc_starts(rng: np.random.Generator, count: int, d: int, radius: float) -> np.ndarray:
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, (count, d)))
-    theta = rng.uniform(0.0, 2.0 * np.pi, (count, d))
-    Z = r * np.exp(1j * theta)
+def _require_solver_degree(d: int, cfg: SolverConfig) -> None:
+    if d > cfg.max_degree:
+        raise DimensionCapError(f"degree {d} above solver cap {cfg.max_degree}")
+
+
+def _disc_starts(rng: random.Random, count: int, d: int, radius: float) -> np.ndarray:
+    u = np.array([rng.random() for _ in range(2 * count * d)]).reshape(2, count, d)
+    Z = radius * np.sqrt(u[0]) * np.exp(2j * np.pi * u[1])
     return Z - Z.mean(axis=1, keepdims=True)  # project onto the zero-sum plane
 
 
@@ -233,22 +220,19 @@ def solve_system(
     cfg = cfg or SolverConfig()
     d = spec.d
     system = SigmaSystem(spec)  # refuses d < 3 first
-    if d > cfg.max_degree:
-        raise DimensionCapError(f"degree {d} above solver cap {cfg.max_degree}")
+    _require_solver_degree(d, cfg)
     if expected is None:
         expected = fiber_report(spec).e_I0
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)  # importing numpy.random costs about 6 MB RSS
     radius = 2.0 * (1.0 + spec.max_multiplier_modulus())
-    budget = cfg.budget_factor * (d - 1) * max(expected // max(d - 1, 1), 1)
+    budget = cfg.budget_factor * (d - 1) * max(expected // (d - 1), 1)
 
-    accepted: list[np.ndarray] = []
+    accepted: list[tuple[np.ndarray, float]] = []  # (tuple, residual)
     starts = converged = duplicates = 0
-    while starts < budget:
-        if expected > 0 and len(accepted) >= expected:
-            break
+    while starts < budget and not 0 < expected <= len(accepted):
         batch = min(BATCH_SIZE, budget - starts)
         Z = _disc_starts(rng, batch, d, radius)
-        norms = _newton_batch(system, Z, BLOWUP * radius)
+        norms = _newton_batch(system, Z)
         starts += batch
         for row in np.flatnonzero(norms < EPS_RES):
             zeta = Z[row]
@@ -256,7 +240,7 @@ def solve_system(
             scale = _scale(zeta)
             if _min_separation(zeta) <= EPS_SEP * scale:
                 continue  # coordinate collision, not a valid configuration
-            if any(np.abs(zeta - seen).max() < EPS_DUP * scale for seen in accepted):
+            if any(np.abs(zeta - z).max() < EPS_DUP * scale for z, _ in accepted):
                 duplicates += 1
                 continue
             if len(accepted) >= expected:
@@ -264,15 +248,12 @@ def solve_system(
                     f"found a {len(accepted) + 1}-th distinct tuple, "
                     f"expected {expected}"
                 )
-            accepted.append(zeta.copy())
+            accepted.append((zeta.copy(), float(norms[row])))
 
-    accepted.sort(key=lambda z: tuple((v.real, v.imag) for v in z))
+    accepted.sort(key=lambda a: tuple((v.real, v.imag) for v in a[0]))
     final = tuple(
-        RootTuple(
-            zeta=tuple(complex(v) for v in z),
-            residual=float(np.abs(system.residual(z[None, :])).max()),
-        )
-        for z in accepted
+        RootTuple(zeta=tuple(complex(v) for v in z), residual=res)
+        for z, res in accepted
     )
     result = SolveResult(
         tuples=final, starts=starts, converged=converged, deduplicated=duplicates
@@ -375,6 +356,8 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
     """
     cfg = cfg or SolverConfig()
     d = spec.d
+    if d > 2:  # refuse before the exact count; degree 2 is analytic
+        _require_solver_degree(d, cfg)
     counts = fiber_report(spec)
     classes = value_classes(spec)
     expected_tuples = counts.e_I0
@@ -389,14 +372,11 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
             converged=1,
             deduplicated=0,
         )
-        incomplete = False
     else:
         try:
             result = solve_system(spec, cfg, expected_tuples)
-            incomplete = False
         except BudgetExhaustedError as exc:
             result = exc.result
-            incomplete = True
 
     lam = [complex(v) for v in spec.lam]
     max_err = max_rel = 0.0
@@ -411,7 +391,7 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
 
     found = len(result.tuples)
     orbits = orbit_count(result.tuples, classes) if found else 0
-    if incomplete or found < expected_tuples:
+    if found < expected_tuples:  # the budget ran out
         status = "incomplete"
     elif expected_tuples == 0:
         # an empty budget is evidence of nothing

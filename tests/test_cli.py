@@ -127,6 +127,12 @@ def test_identity_check_bad_sizes():
     assert code == 1 and "block limit" in err
 
 
+def test_identity_check_sweep_limit():
+    # 4.5e8 set partitions (hours of work): refused before the sweep starts
+    code, _, err = run_cli("identity-check", "--max-l", "9", "--max-size", "4")
+    assert code == 1 and "sweep limit 3000000" in err
+
+
 def test_gen_is_deterministic_and_feeds_count():
     args = ("gen", "--plan", '[["1","-1"],3]', "--seed", "9", "--exact")
     code1, out1, _ = run_cli(*args)

@@ -14,6 +14,7 @@ from multfiber.errors import (
     InternalCheckError,
     NonFreeActionError,
 )
+from multfiber import verifier
 from multfiber.spectrum import from_shifts, validate, value_classes
 from multfiber.verifier import (
     RootTuple,
@@ -267,4 +268,45 @@ def test_verify_is_scale_free(scale):
     report = verify_spectrum(spec)
     assert report.status == "verified"
     assert report.found_tuples == report.expected_tuples == 6
+    assert report.mc_orbits == report.expected_orbits
+
+
+def test_verify_checks_degree_cap_before_counting(monkeypatch):
+    def no_count(spec):
+        raise AssertionError("exact count ran before the degree cap")
+
+    monkeypatch.setattr("multfiber.verifier.fiber_report", no_count)
+    with pytest.raises(DimensionCapError):
+        verify_spectrum(from_shifts([1, 2, 3, 4, 5, 6, -21]))
+
+
+def test_zero_fiber_starts_stop_after_few_newton_steps(monkeypatch):
+    # every start of an empty fiber stalls or diverges; the stopping rule
+    # must end it after a few steps, not let it creep along
+    rows = [0]
+    jacobian = verifier.SigmaSystem.jacobian
+
+    def counted(self, Z):
+        rows[0] += Z.shape[0]
+        return jacobian(self, Z)
+
+    monkeypatch.setattr(verifier.SigmaSystem, "jacobian", counted)
+    report = verify_spectrum(from_shifts([1, -1, 1, -1]))
+    assert report.status == "consistent"
+    assert report.starts == 15000
+    assert rows[0] / report.starts <= 10
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize(
+    "shifts",
+    [
+        [1, -1, 2, -2, 3, -3],
+        ["1+1i", "2", "-3-1i", "1+1i", "2", "-3-1i"],  # x, y, -x-y twice
+    ],
+)
+def test_verify_degree_six_under_any_seed(shifts, seed):
+    report = verify_spectrum(from_shifts(shifts), SolverConfig(seed=seed))
+    assert report.status == "verified"
+    assert report.found_tuples == report.expected_tuples
     assert report.mc_orbits == report.expected_orbits
