@@ -17,9 +17,9 @@ import json
 import sys
 
 from . import counting, polyfam
-from .errors import InputError, InternalCheckError, SpectrumFormatError
+from .errors import DimensionCapError, InputError, InternalCheckError, SpectrumFormatError
 from .lattice import enumerate_lattice
-from .spectrum import generate, spectrum_from_obj, spectrum_to_obj
+from .spectrum import generate, scalars_from_obj, spectrum_from_obj, spectrum_to_obj
 
 
 class _CliError(Exception):
@@ -107,6 +107,11 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_polyfam(args) -> int:
+    # the table holds sum over l <= max_l of l(l+1)/2 big-integer coefficients
+    if args.max_l > polyfam.MAX_TABLE_L:
+        raise DimensionCapError(
+            f"table up to l = {args.max_l}, above the limit {polyfam.MAX_TABLE_L}"
+        )
     table = []
     for l in range(2, args.max_l + 1):
         for k in range(1, l + 1):
@@ -141,7 +146,8 @@ def _cmd_identity_check(args) -> int:
     polyfam.require_sweep_within_limit(args.max_l, args.max_size)
     failures = []
     checked = 0
-    for l in range(2, args.max_l + 1):
+    # with max_size < 2 there is no size vector, so no l is visited
+    for l in range(2, args.max_l + 1 if args.max_size >= 2 else 2):
         for sizes in itertools.product(range(2, args.max_size + 1), repeat=l):
             checked += 1
             total = polyfam.vanishing_sum(sizes)
@@ -197,7 +203,7 @@ def _cmd_gen(args) -> int:
         if isinstance(item, int):
             plan.append(item)
         elif isinstance(item, list):
-            plan.append([str(v) for v in item])
+            plan.append(scalars_from_obj(item, "a plan block"))
         else:
             raise _CliError("plan items must be integers (sizes) or target lists")
     spec = generate(plan, seed=args.seed, exact=args.exact)

@@ -216,10 +216,11 @@ def monic_centered_count(
     """Number of distinct monic centered polynomials realizing the spectrum.
 
     Equals (d-1) * fiber size divided by the value-class group order; the
-    division is always exact, so a remainder signals a bug.
+    division is always exact, so a remainder signals a bug.  Without
+    ``size`` it comes from the mask pass; ``lat`` is unused.
     """
     if size is None:
-        size = fiber_size_closed_form(spec, lat)
+        size = fiber_report(spec).s_d
     if classes is None:
         classes = value_classes(spec)
     return _exact_quotient((spec.d - 1) * size, classes.group_order(), "(d-1)*count")
@@ -234,14 +235,14 @@ def conjugacy_count(
     """Number of distinct conjugacy classes realizing the spectrum, if defined.
 
     Defined exactly when every class gcd is 1; otherwise ``None`` (absence
-    is a value, not an error).
+    is a value, not an error).  ``size`` and ``lat`` as above.
     """
     if classes is None:
         classes = value_classes(spec)
     if any(g != 1 for g in class_gcds(classes.sizes)):
         return None
     if size is None:
-        size = fiber_size_closed_form(spec, lat)
+        size = fiber_report(spec).s_d
     return _exact_quotient(size, classes.group_order(), "count")
 
 

@@ -61,7 +61,9 @@ class DimensionCapError(InputError):
     The limits: scan degree (``lattice.MAX_SCAN_DEGREE``), block pairs
     (``lattice.MAX_PAIR_WORK``), partitions the lattice builds
     (``lattice.MAX_PARTITIONS``), blocks of an abstract set partition
-    (``polyfam.MAX_BLOCKS``) and the solver's degree cap.
+    (``polyfam.MAX_BLOCKS``), set partitions of a sweep
+    (``polyfam.MAX_SWEEP``), the polynomial table's block count
+    (``polyfam.MAX_TABLE_L``) and the solver's degree cap.
     """
 
 

@@ -27,6 +27,7 @@ from .errors import DimensionCapError
 
 MAX_BLOCKS = 11  # Bell(11) = 678,570 set partitions: about 6 s and 290 MB
 MAX_SWEEP = 3_000_000  # set partitions per sweep: max_l 7, max_size 4 is 2.08M (7 s)
+MAX_TABLE_L = 150  # polyfam table: 574k coefficients for l <= 150, about 4 s and 440 MB
 
 
 @dataclass(frozen=True)

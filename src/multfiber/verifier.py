@@ -9,11 +9,13 @@ square polynomial system
     sum_i mu_i * zeta_i^k     = 0    for 1 <= k <= d-2
     sum_i mu_i * zeta_i^(d-1) = -1
 
-with pairwise-distinct coordinates.  The number of such tuples equals
-(d-1) times the multiplicity count, and grouping them by class-preserving
-coordinate permutations (a free action) recovers the monic-centered
-count; this module checks exactly that against the exact formulas, from
-the outside, in floating point.
+with pairwise-distinct coordinates.  There are (d-1) times the
+multiplicity count of such tuples.  Each defines the monic centered
+polynomial f(z) = z + prod_j (z - zeta_j), and two define the same f exactly
+when a class-preserving coordinate permutation maps one to the other; so
+the distinct f found are the monic-centered count, each from group-order
+many tuples.  This module checks both against the exact formulas, from the
+outside, in floating point.
 
 The solver runs Newton from batches of random starts (uniform in a disc
 per coordinate, then projected onto the zero-sum hyperplane, which
@@ -22,16 +24,20 @@ coordinate separation, and deduplicates.  A start takes full Newton steps
 and stops, keeping its last iterate, at the first step that fails to lower
 its max-norm residual.  Zero-fiber spectra are verified by exhausting the
 full start budget with nothing accepted, a weaker "consistent" outcome,
-since absence cannot be certified by sampling (an empty budget reads
-"incomplete").  Newton runs are independent and the final merge is
-deterministic, so the whole pass is reproducible under a fixed seed.
+since absence cannot be certified by sampling.  A run whose budget ends
+short of the expected tuples, an empty budget included, reads "incomplete"
+and reports the distinct polynomials it did find.  Newton runs are
+independent and the final merge is deterministic, so the whole pass is
+reproducible under a fixed seed.
 
 ``SolverConfig`` holds only what the caller asks: seed, start budget,
 degree cap and multiplier tolerance.  How the solver runs is fixed here.
 Residual bound, iteration cap and batch size are constants; starts are
-drawn within the radius 2(1 + max|lambda|); and the dedup, collision and
-orbit tolerances are relative to max(1, max_i |zeta_i|) of the tuple
-checked, so a spectrum verifies alike at any scale.
+drawn within the radius 2(1 + max|lambda|); the dedup and collision
+tolerances are relative to max(1, max_i |zeta_i|) of the tuple checked,
+and polynomials are compared by the coefficients of prod_j (x - zeta_j)
+after scaling each tuple to max_i |zeta_i| = 1.  So a spectrum verifies
+alike at any scale.
 """
 
 from __future__ import annotations
@@ -266,86 +272,75 @@ def solve_system(
     return result
 
 
-def forward_multipliers(zeta) -> list[complex]:
-    """Multipliers of z + prod(z - zeta_j) at its fixed points zeta_i.
+def _multipliers(Z: np.ndarray) -> np.ndarray:
+    """Per row of Z, the multipliers of z + prod_j (z - zeta_j) at each zeta_i.
 
     The derivative at zeta_i is 1 + prod over j != i of (zeta_i - zeta_j).
     """
+    diff = Z[:, :, None] - Z[:, None, :]
+    diag = np.arange(Z.shape[1])
+    diff[:, diag, diag] = 1.0
+    return 1 + diff.prod(axis=2)
+
+
+def forward_multipliers(zeta) -> list[complex]:
+    """Multipliers of z + prod(z - zeta_j) at its fixed points zeta_i."""
     z = np.asarray([complex(v) for v in zeta])
-    diff = z[:, None] - z[None, :]
-    off = ~np.eye(len(z), dtype=bool)
-    if np.abs(diff[off]).min() == 0.0:
+    if np.unique(z).size < z.size:
         raise CoincidentRootsError("fixed-point coordinates must be distinct")
-    np.fill_diagonal(diff, 1.0)
-    return [complex(1 + p) for p in diff.prod(axis=1)]
+    return [complex(m) for m in _multipliers(z[None, :])[0]]
 
 
-def _same_multiset(xs, ys, eps: float) -> bool:
-    """Match every coordinate of ``xs`` to an unused one of ``ys`` within eps.
+def _row_distances(A: np.ndarray) -> np.ndarray:
+    """Max-norm distance between every two rows of A, one column at a time."""
+    D = np.zeros((len(A), len(A)))
+    for col in A.T:
+        np.maximum(D, np.abs(col[:, None] - col[None, :]), out=D)
+    return D
 
-    Sorting cannot stand in for this: in a real spectrum a class can hold a
-    conjugate pair whose real parts tie, and noise flips their order.
+
+def _orbits(Z: np.ndarray, classes: ValueClasses | None = None) -> int:
+    """Number of distinct polynomials z + prod_j (z - zeta_j) over the rows of Z.
+
+    Rows are scaled to max_i |zeta_i| = 1 (never 0 on a solution, since
+    sum_i mu_i zeta_i^(d-1) = -1) and compared by the coefficients of
+    prod_j (x - zeta_j) within ``EPS_DUP``; each row is labelled by the first
+    row that agrees with it.  With ``classes``, every polynomial must come
+    from group-order many rows: a wrong-sized orbit means duplicates,
+    missing tuples or a tolerance failure.
     """
-    unused = list(ys)
-    for x in xs:
-        for j, y in enumerate(unused):
-            if abs(x - y) < eps:
-                del unused[j]
-                break
-        else:
-            return False
-    return True
-
-
-def orbit_count(tuples, classes: ValueClasses) -> int:
-    """Group tuples under class-preserving coordinate permutations.
-
-    Two tuples lie in one orbit iff each value class carries the same
-    coordinate multiset, matched within ``EPS_DUP`` relative to the first
-    tuple's scale.  Every orbit must have exactly group-order many
-    members; a wrong-sized orbit means duplicates, missing tuples or a
-    tolerance failure.
-    """
-    profiles = [[[t.zeta[i] for i in k] for k in classes.classes] for t in tuples]
-    parent = list(range(len(profiles)))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(profiles)):
-        eps = EPS_DUP * _scale(tuples[i].zeta)
-        for j in range(i + 1, len(profiles)):
-            if root(i) != root(j) and all(
-                _same_multiset(a, b, eps)
-                for a, b in zip(profiles[i], profiles[j])
-            ):
-                parent[root(j)] = root(i)
-    orbit_sizes: dict[int, int] = {}
-    for i in range(len(profiles)):
-        r = root(i)
-        orbit_sizes[r] = orbit_sizes.get(r, 0) + 1
-    order = classes.group_order()
-    for size in orbit_sizes.values():
-        if size != order:
+    n, d = Z.shape
+    if n == 0:
+        return 0
+    Z = Z / np.abs(Z).max(axis=1, keepdims=True)
+    C = np.zeros((n, d + 1), dtype=complex)  # descending, C[:, 0] = 1
+    C[:, 0] = 1.0
+    for j in range(d):
+        C[:, 1 : j + 2] -= Z[:, j : j + 1] * C[:, : j + 1]
+    first = (_row_distances(C[:, 1:]) < EPS_DUP).argmax(axis=1)
+    sizes = np.bincount(first)
+    sizes = sizes[sizes > 0]
+    if classes is not None:
+        order = classes.group_order()
+        for size in sizes[sizes != order]:
             raise NonFreeActionError(
                 f"orbit of size {size} where the group order is {order}"
             )
-    return len(orbit_sizes)
+    return len(sizes)
 
 
-def _near_collisions(tuples) -> tuple[tuple[int, int], ...]:
-    """Pairs of accepted tuples within 10x the dedup threshold: warnings."""
-    out = []
-    for i in range(len(tuples)):
-        zi = np.asarray(tuples[i].zeta)
-        eps = 10 * EPS_DUP * _scale(zi)
-        for j in range(i + 1, len(tuples)):
-            if np.abs(zi - np.asarray(tuples[j].zeta)).max() < eps:
-                out.append((i, j))
-    return tuple(out)
+def _tuple_array(tuples, d: int) -> np.ndarray:
+    return np.array([t.zeta for t in tuples], dtype=complex).reshape(len(tuples), d)
+
+
+def orbit_count(tuples, classes: ValueClasses) -> int:
+    """Group tuples into the distinct polynomials they define.
+
+    Two tuples define one polynomial iff a class-preserving coordinate
+    permutation maps one to the other.  Raises ``NonFreeActionError``
+    unless every polynomial comes from exactly group-order many tuples.
+    """
+    return _orbits(_tuple_array(tuples, sum(classes.sizes)), classes)
 
 
 def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> VerificationReport:
@@ -378,19 +373,22 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
         except BudgetExhaustedError as exc:
             result = exc.result
 
-    lam = [complex(v) for v in spec.lam]
-    max_err = max_rel = 0.0
-    for t in result.tuples:
-        for m, l in zip(forward_multipliers(t.zeta), lam):
-            max_err = max(max_err, abs(m - l))
-            max_rel = max(max_rel, abs(m - l) / max(1.0, abs(l)))
+    found = len(result.tuples)
+    Z = _tuple_array(result.tuples, d)
+    lam = np.array([complex(v) for v in spec.lam])
+    err = np.abs(_multipliers(Z) - lam)
+    max_err = float(err.max(initial=0.0))
+    max_rel = float((err / np.maximum(1.0, np.abs(lam))).max(initial=0.0))
     if max_rel > cfg.eps_mult:
         raise MultiplierMismatchError(
             f"relative multiplier error {max_rel:.3g} above eps_mult {cfg.eps_mult:g}"
         )
 
-    found = len(result.tuples)
-    orbits = orbit_count(result.tuples, classes) if found else 0
+    # warnings: pairs of tuples within 10x the dedup threshold of the first
+    scale = np.maximum(1.0, np.abs(Z).max(axis=1))
+    near = np.triu(_row_distances(Z) < 10 * EPS_DUP * scale[:, None], 1)
+    # a short run finds part of some orbits, so only a full set is size-checked
+    orbits = _orbits(Z, classes if found == expected_tuples else None)
     if found < expected_tuples:  # the budget ran out
         status = "incomplete"
     elif expected_tuples == 0:
@@ -409,6 +407,6 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
         converged=result.converged,
         deduplicated=result.deduplicated,
         status=status,
-        near_collisions=_near_collisions(result.tuples),
+        near_collisions=tuple(map(tuple, np.argwhere(near).tolist())),
         tuples=result.tuples,
     )

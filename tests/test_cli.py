@@ -133,6 +133,19 @@ def test_identity_check_sweep_limit():
     assert code == 1 and "sweep limit 3000000" in err
 
 
+def test_identity_check_sweep_without_size_vectors_is_empty():
+    # max-size 1 admits no block size, so no l is visited however large
+    code, out, _ = run_cli("identity-check", "--max-l", "3000000", "--max-size", "1")
+    assert code == 0
+    assert json.loads(out) == {"checked": 0, "failures": [], "ok": True}
+
+
+def test_polyfam_table_limit():
+    # 3.9 s and 440 MB at the limit, 10.7 s and 1.3 GB at l = 200
+    code, _, err = run_cli("polyfam", "--max-l", "151")
+    assert code == 1 and "limit 150" in err
+
+
 def test_gen_is_deterministic_and_feeds_count():
     args = ("gen", "--plan", '[["1","-1"],3]', "--seed", "9", "--exact")
     code1, out1, _ = run_cli(*args)
@@ -155,6 +168,16 @@ def test_gen_bad_plan():
     assert code == 1 and err.strip()
     code, _, _ = run_cli("gen", "--plan", '"x"')
     assert code == 1
+
+
+def test_gen_plan_scalars_are_checked_like_spectrum_scalars():
+    for plan in ('[[null,1]]', '[["1.5","-1.5"]]', '[[true,-1]]', '[["1",[2]]]'):
+        code, _, err = run_cli("gen", "--plan", plan)
+        assert code == 1 and err.startswith("error: "), plan
+    # a JSON float is an exact binary rational, as in a spectrum document
+    code, out, _ = run_cli("gen", "--plan", "[[1.5,-1.5]]")
+    assert code == 0
+    assert json.loads(out)["lambda"] == ["1/3", "5/3"]
 
 
 def test_verify_fixture():
@@ -184,6 +207,15 @@ def test_verify_incomplete_reports_but_exits_zero():
     assert code == 0
     doc = json.loads(out)
     assert doc["status"] == "incomplete"
+
+
+def test_verify_short_run_with_a_class_swap_is_incomplete():
+    # one of the two tuples of a single polynomial: a partial orbit
+    code, out, err = run_cli("verify", '{"mu":["2","-1","-1"]}', "--budget-factor", "1")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["status"] == "incomplete"
+    assert (doc["found_tuples"], doc["mc_orbits"]) == ("1", "1")
 
 
 def test_verify_zero_fiber_with_empty_budget_is_incomplete():

@@ -135,6 +135,16 @@ def test_discrete_counts_on_fixtures():
     assert conjugacy_count(spec) == 1
 
 
+def test_discrete_counts_without_size_build_no_partition(monkeypatch):
+    def no_lattice(*args):
+        raise AssertionError("the partition lattice was built")
+
+    monkeypatch.setattr("multfiber.counting.enumerate_lattice", no_lattice)
+    spec = from_shifts([1, -1, 2, -2, 3, -3])
+    assert monic_centered_count(spec) == 35
+    assert conjugacy_count(spec) == 7
+
+
 def test_conjugacy_count_absent_when_class_gcd_exceeds_one():
     # class sizes (1, 2): gcd(0, 2) = 2, the guarded formula does not apply
     spec = from_shifts([2, -1, -1])

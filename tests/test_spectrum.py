@@ -146,6 +146,22 @@ def test_generate_exact_lattice_shape():
         assert masks == expected
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_generate_exact_matches_block_unions(seed):
+    # the count test in generate against the set of block unions
+    for plan in ([2, 2, 3], [["1", "-1"], 3], [3, ["0+1i", "0-1i"], 2]):
+        spec = generate(plan, seed=seed, exact=True)
+        offsets = [0]
+        for block in plan:
+            offsets.append(offsets[-1] + (block if isinstance(block, int) else len(block)))
+        blocks = [(1 << b) - (1 << a) for a, b in zip(offsets, offsets[1:])]
+        unions = {
+            sum(b for i, b in enumerate(blocks) if pick >> i & 1)
+            for pick in range(1, (1 << len(blocks)) - 1)
+        }
+        assert set(zero_sum_subsets(spec)) == unions
+
+
 def test_generate_exact_with_conflicting_explicit_targets():
     # duplicated explicit blocks force crossing zero sums; nothing to redraw
     with pytest.raises(ExactShapeError):

@@ -153,6 +153,35 @@ def test_accepted_set_closed_under_class_permutations():
         assert min(np.abs(swapped - w).max() for w in zetas) < 1e-6
 
 
+def test_verify_short_run_reports_partial_orbits():
+    # budget factor 1 finds one of the two tuples of the one polynomial
+    spec = from_shifts([2, -1, -1])
+    report = verify_spectrum(spec, SolverConfig(budget_factor=1, seed=0))
+    assert report.status == "incomplete"
+    assert report.found_tuples == 1
+    assert report.mc_orbits == 1 == report.expected_orbits
+
+
+@pytest.mark.parametrize(
+    "shifts",
+    [
+        [2, -1, -1],
+        [1, 1, 2, -4],
+        [1, 3, -2, -2],
+        ["1+1i", "2", "-3-1i", "1+1i", "2", "-3-1i"],
+    ],
+)
+def test_short_runs_never_raise(shifts):
+    spec = from_shifts(shifts)
+    for budget_factor in (1, 2, 3):
+        for seed in range(6):
+            report = verify_spectrum(spec, SolverConfig(budget_factor=budget_factor, seed=seed))
+            assert report.status in ("incomplete", "verified")
+            assert report.mc_orbits <= report.expected_orbits
+            if report.status == "incomplete":
+                assert report.found_tuples < report.expected_tuples
+
+
 def test_verify_degree_two_is_analytic():
     report = verify_spectrum(validate(["0", "2"]))
     assert report.status == "verified"
