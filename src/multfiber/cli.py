@@ -200,7 +200,7 @@ def _cmd_gen(args) -> int:
         raise _CliError("plan must be a JSON list of blocks")
     plan = []
     for item in plan_obj:
-        if isinstance(item, int):
+        if type(item) is int:  # JSON true/false decode as bool, an int subclass
             plan.append(item)
         elif isinstance(item, list):
             plan.append(scalars_from_obj(item, "a plan block"))

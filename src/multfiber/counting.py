@@ -14,9 +14,10 @@ partitions of the index set into zero-sum blocks, graded by block count:
   (d-1) * count = sum over partitions of {-(d-1)}^{#blocks - 1} times the
   product of (block size - 1)!.
 
-``fiber_report`` evaluates the recursion in both span bases and the closed
-form in one bottom-up pass over the zero-sum index masks (``mask_counts``)
-and builds no partition.  Since falling_span(n, k) = (n-1) * rising_span(n, k),
+``fiber_report`` evaluates all three in one bottom-up pass over the zero-sum
+index masks (``mask_counts``), one row per mask and no partition: the
+recursions' graded sums and two scalar recurrences, the closed-form sum and
+the partition count.  Since falling_span(n, k) = (n-1) * rising_span(n, k),
 the two recursions share their sums and differ only in the span basis:
 their agreement, checked at every mask, guards the span arithmetic, not
 the sums.  The closed form uses block sizes only, never a recursive
@@ -280,38 +281,35 @@ def mask_counts(spec: Spectrum) -> tuple[dict[str, int], int, int]:
 
     Returns the count by route name, the number of partitions P (the
     one-block partition included) and the number of zero-sum subsets Z.
-    Each visited mask B gets an entry holding, per block count k, three
-    sums over the partitions of B into zero-sum blocks: of prod w(C), of
-    prod (|C|-1)! and of 1.  A proper partition of B is its block b that
-    holds the lowest index of B together with a partition of B without b,
-    which is zero-sum, smaller and visited earlier; so every proper
-    partition is counted once.  ``group_by_low_bit`` bounds the pairs (b, B).
+    A proper partition of a mask B is its block b holding the lowest index of
+    B with a partition of B - b (zero-sum, smaller, visited earlier), so each
+    is counted once.  One row (g, F, C) per mask: g[k] sums prod w(C) over the
+    k-block partitions and g[1] = w(B) = (|B|-1) * count; the signed sum is
+    F(B) = (|B|-1)! - (d-1) * sum_b (|b|-1)! * F(B-b), d the full degree, and
+    C(B) = 1 + sum_b C(B-b).  ``group_by_low_bit`` bounds the pairs (b, B).
     """
     d = spec.d
     masks = zero_sum_subsets(spec) + [(1 << d) - 1]
     fact = [factorial(i) for i in range(d + 1)]
     by_low = group_by_low_bit(masks)
 
-    weight: dict[int, int] = {}  # w(B) = (|B|-1) * count of B
-    graded: dict[int, tuple[list[int], list[int], list[int]]] = {}
+    rows: dict[int, tuple[list[int], int, int]] = {}
     # Ascending masks: every proper subset of a mask comes before it.
     for mask in masks:
         n = mask.bit_count()
         g = [0] * (n // 2 + 1)  # blocks have size >= 2, index = block count
-        f = g.copy()
-        c = g.copy()
+        signed = count = 0
         for b in by_low.get(mask & -mask, ()):
             if b >= mask:
                 break
             if b & ~mask:
                 continue
-            wb = weight[b]
-            fb = fact[b.bit_count() - 1]
-            rg, rf, rc = graded[mask ^ b]
+            wb = rows[b][0][1]
+            rg, rf, rc = rows[mask ^ b]
             for k in range(1, len(rg)):
                 g[k + 1] += wb * rg[k]
-                f[k + 1] += fb * rf[k]
-                c[k + 1] += rc[k]
+            signed += fact[b.bit_count() - 1] * rf
+            count += rc
         sub = fact[n - 2] - sum(rising_span(n, k) * g[k] for k in range(2, len(g)))
         w = fact[n - 1] - sum(falling_span(n, k) * g[k] for k in range(2, len(g)))
         if w != (n - 1) * sub:
@@ -319,19 +317,18 @@ def mask_counts(spec: Spectrum) -> tuple[dict[str, int], int, int]:
                 f"recursions disagree on block {mask:#x}: "
                 f"weight {w} != {n - 1} * count {sub}"
             )
-        g[1], f[1], c[1] = w, fact[n - 1], 1
-        weight[mask] = w
-        graded[mask] = (g, f, c)
+        g[1] = w
+        rows[mask] = (g, fact[n - 1] - (d - 1) * signed, 1 + count)
 
-    # The full mask came last, so g, f, c, sub and w are its values; w is
-    # divisible by d-1 because w == (d-1) * sub was just checked.
-    signed = sum((-(d - 1)) ** (k - 1) * f[k] for k in range(1, len(f)))
+    # The full mask came last, so sub and w are its values; w is divisible
+    # by d-1 because w == (d-1) * sub was just checked.
+    _, signed, count = rows[masks[-1]]
     by_engine = {
         "subspectra": sub,
         "refinement": w // (d - 1),
         "closed_form": _exact_quotient(signed, d - 1, "signed lattice sum"),
     }
-    return by_engine, sum(c), len(masks) - 1
+    return by_engine, count, len(masks) - 1
 
 
 # --- aggregate report -------------------------------------------------------------
@@ -342,14 +339,20 @@ class FiberReport:
 
     d: int
     s_d: int
-    e_I0: int
     mc_count: int
     mp_count: int | None
     kappa_sizes: tuple[int, ...]
-    gw_flags: tuple[int, ...]
     engines: dict[str, int]
     lattice_partitions: int
     zero_sum_subsets: int
+
+    @property
+    def e_I0(self) -> int:
+        return (self.d - 1) * self.s_d
+
+    @property
+    def gw_flags(self) -> tuple[int, ...]:
+        return class_gcds(self.kappa_sizes)
 
 
 def fiber_report(spec: Spectrum) -> FiberReport:
@@ -368,11 +371,9 @@ def fiber_report(spec: Spectrum) -> FiberReport:
     return FiberReport(
         d=d,
         s_d=size,
-        e_I0=(d - 1) * size,
         mc_count=monic_centered_count(spec, None, size, classes),
         mp_count=conjugacy_count(spec, None, size, classes),
         kappa_sizes=classes.sizes,
-        gw_flags=class_gcds(classes.sizes),
         engines=by_engine,
         lattice_partitions=partitions,
         zero_sum_subsets=zero_sum,

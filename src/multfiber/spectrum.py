@@ -1,16 +1,17 @@
-"""Validated multiplier spectra, their shift vectors and value classes.
+"""Validated spectra, stored as shift vectors, and their value classes.
 
 A spectrum of degree d is an ordered tuple of d multipliers, none equal
 to 1, whose reciprocal shifts mu_i = 1/(1-lambda_i) sum to zero exactly.
-The shift vector is the canonical internal representation: every lattice
-membership test downstream is a zero sum of shifts.  Instances are
-immutable and freely shareable.
+A ``Spectrum`` stores each quantity once, as its shift vector: every count
+and lattice membership test reads mu alone, and the multipliers are
+derived from it on first use.  Instances are immutable and freely shareable.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import factorial
 
@@ -35,14 +36,17 @@ from .exactnum import (
 
 @dataclass(frozen=True)
 class Spectrum:
-    """An ordered multiplier tuple together with its derived shift vector."""
+    """A shift vector, the only field; ``lam`` is derived from it and cached."""
 
-    lam: tuple[GaussianRational, ...]
     mu: tuple[GaussianRational, ...]
 
     @property
     def d(self) -> int:
-        return len(self.lam)
+        return len(self.mu)
+
+    @cached_property
+    def lam(self) -> tuple[GaussianRational, ...]:
+        return tuple(multiplier_from_shift(m) for m in self.mu)
 
     def restrict(self, mask: int) -> "Spectrum":
         """Sub-spectrum over the indices in a bitmask (bit i = index i)."""
@@ -50,17 +54,11 @@ class Spectrum:
         return from_shifts(mus)
 
     def permuted(self, order: tuple[int, ...]) -> "Spectrum":
-        return Spectrum(
-            tuple(self.lam[i] for i in order),
-            tuple(self.mu[i] for i in order),
-        )
+        return Spectrum(tuple(self.mu[i] for i in order))
 
     def shift_key(self) -> tuple:
         """Multiset of shift values; cache key for sub-spectrum counts."""
         return tuple(sorted(m.sort_key() for m in self.mu))
-
-    def max_multiplier_modulus(self) -> float:
-        return max(abs(complex(v)) for v in self.lam)
 
 
 @dataclass(frozen=True)
@@ -107,19 +105,18 @@ def _nonzero_shift(i: int, m: GaussianRational) -> GaussianRational:
 def validate(raw) -> Spectrum:
     """Build a Spectrum from multiplier values, rejecting invalid input."""
     lam = tuple(as_gaussian(v) for v in raw)
-    return Spectrum(lam, _shift_vector(lam, _shift_of_multiplier, "reciprocal shifts"))
+    return Spectrum(_shift_vector(lam, _shift_of_multiplier, "reciprocal shifts"))
 
 
 def from_shifts(shifts) -> Spectrum:
     """Build a Spectrum from its shift vector (each mu_i = 1/(1-lambda_i))."""
-    mu = _shift_vector([as_gaussian(v) for v in shifts], _nonzero_shift, "shifts")
-    return Spectrum(tuple(multiplier_from_shift(m) for m in mu), mu)
+    return Spectrum(_shift_vector([as_gaussian(v) for v in shifts], _nonzero_shift, "shifts"))
 
 
 def value_classes(spec: Spectrum) -> ValueClasses:
-    """Group indices by exact multiplier equality, ordered by first index."""
+    """Group indices by equal shifts, i.e. equal multipliers, ordered by first index."""
     seen: dict[tuple, list[int]] = {}
-    for i, v in enumerate(spec.lam):
+    for i, v in enumerate(spec.mu):
         seen.setdefault(v.sort_key(), []).append(i)
     classes = sorted(seen.values(), key=lambda k: k[0])
     return ValueClasses(tuple(tuple(k) for k in classes))
@@ -172,7 +169,7 @@ def generate(plan, *, seed: int = 0, exact: bool = False) -> Spectrum:
         else:
             targets = _shift_vector(
                 [as_gaussian(v) for v in block], _nonzero_shift, "plan block shifts",
-                min_len=0, error=BlockSumError,
+                min_len=1, error=BlockSumError,
             )
             fixed.append(targets)
             sizes.append(len(targets))

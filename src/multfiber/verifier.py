@@ -230,7 +230,7 @@ def solve_system(
     if expected is None:
         expected = fiber_report(spec).e_I0
     rng = random.Random(cfg.seed)  # importing numpy.random costs about 6 MB RSS
-    radius = 2.0 * (1.0 + spec.max_multiplier_modulus())
+    radius = 2.0 * (1.0 + max(abs(complex(v)) for v in spec.lam))
     budget = cfg.budget_factor * (d - 1) * max(expected // (d - 1), 1)
 
     accepted: list[tuple[np.ndarray, float]] = []  # (tuple, residual)

@@ -168,6 +168,13 @@ def test_gen_bad_plan():
     assert code == 1 and err.strip()
     code, _, _ = run_cli("gen", "--plan", '"x"')
     assert code == 1
+    # a JSON true is not a block size, though bool is an int subclass
+    code, _, err = run_cli("gen", "--plan", "[true,3]")
+    assert code == 1 and "plan items must be integers" in err
+    # an empty explicit block is refused before any draw
+    for extra in ([], ["--exact"]):
+        code, _, err = run_cli("gen", "--plan", "[[],3]", *extra)
+        assert code == 1 and "degree" in err
 
 
 def test_gen_plan_scalars_are_checked_like_spectrum_scalars():

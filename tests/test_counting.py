@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import multfiber.counting
+import multfiber.spectrum
 from multfiber.counting import (
     ENGINES,
     class_gcds,
@@ -28,7 +29,13 @@ from multfiber.counting import (
 from multfiber.errors import PartitionNotInLatticeError
 from multfiber.exactnum import ZERO, GaussianRational
 from multfiber.lattice import BlockPartition, enumerate_lattice
-from multfiber.spectrum import from_shifts, generate, validate, value_classes
+from multfiber.spectrum import (
+    from_shifts,
+    generate,
+    spectrum_from_obj,
+    validate,
+    value_classes,
+)
 
 
 def all_routes(spec, lat=None):
@@ -207,6 +214,20 @@ def test_mc_is_degree_minus_one_times_mp_when_defined():
         report = fiber_report(spec)
         if report.mp_count is not None:
             assert report.mc_count == (spec.d - 1) * report.mp_count
+
+
+def test_count_path_computes_no_multiplier(monkeypatch):
+    """Counting reads the shift vector only; multipliers are never derived."""
+
+    def refuse(shift):
+        raise AssertionError(f"multiplier computed from shift {shift}")
+
+    monkeypatch.setattr(multfiber.spectrum, "multiplier_from_shift", refuse)
+    spec = spectrum_from_obj({"mu": ["1", "-1", "2", "-2", "1+1i", "-1-1i"]})
+    report = fiber_report(spec)
+    assert report.kappa_sizes == (1,) * 6 and report.gw_flags == (1,) * 6
+    assert monic_centered_count(spec) == report.mc_count
+    assert conjugacy_count(spec) == report.mp_count
 
 
 def test_fiber_report_fields():

@@ -41,6 +41,21 @@ def test_validate_derived_shift_vector():
     assert mus(spec) == ["1", "-1", "2", "-2"]
     # round trip: multipliers recovered from shifts
     assert from_shifts(spec.mu).lam == spec.lam
+    # a spectrum is its shift vector: built from lambda or from mu, it is the
+    # same value, with the same derived multipliers and value classes
+    for lam, mu in [
+        (["0", "2", "1/2", "3/2"], ["1", "-1", "2", "-2"]),
+        (["1+1i", "1-1i", "1/2+1/2i", "3/2-1/2i"], ["1i", "-1i", "1+1i", "-1-1i"]),
+        (
+            ["1/2+1/2i", "1/2+1/2i", "1/2-1/2i", "1/2-1/2i", "5/4"],
+            ["1+1i", "1+1i", "1-1i", "1-1i", "-4"],
+        ),
+        (["0", "0", "2", "2", "1/2", "3/2"], ["1", "1", "-1", "-1", "2", "-2"]),
+    ]:
+        a, b = validate(lam), from_shifts(mu)
+        assert a == b and hash(a) == hash(b), lam
+        assert a.lam == b.lam and lams(b) == lam
+        assert value_classes(a) == value_classes(b)
 
 
 def test_validate_rejections():
@@ -115,6 +130,13 @@ def test_generate_plan_rejections():
         generate([1])
     with pytest.raises(DegreeTooSmallError):
         generate([])
+    # an empty explicit block is refused before any draw, even with exact=True
+    with pytest.raises(DegreeTooSmallError):
+        generate([[], 3], exact=True)
+    with pytest.raises(BlockSumError):
+        generate([["1"], 3])
+    with pytest.raises(ZeroShiftTargetError):
+        generate([["0"], 3])
 
 
 def test_generate_is_deterministic_under_seed():
