@@ -57,7 +57,6 @@ _VERIFIER_NAMES = frozenset(
         "RootTuple",
         "SolverConfig",
         "VerificationReport",
-        "build_system",
         "forward_multipliers",
         "orbit_count",
         "solve_system",
@@ -116,7 +115,6 @@ __all__ = [
     "SolverConfig",
     "RootTuple",
     "VerificationReport",
-    "build_system",
     "solve_system",
     "forward_multipliers",
     "orbit_count",

@@ -92,7 +92,7 @@ class InvariantViolationError(InternalCheckError):
 # --- verifier ----------------------------------------------------------------
 
 class SolverConfigError(InputError):
-    """A solver budget or count below its minimum, or a tolerance <= 0."""
+    """A solver budget or count below its minimum, or a tolerance not finite and positive."""
 
 
 class CoincidentRootsError(InputError):

@@ -19,12 +19,16 @@ outside, in floating point.
 
 The solver runs Newton from batches of random starts (uniform in a disc
 per coordinate, then projected onto the zero-sum hyperplane, which
-removes one unstable direction), filters converged tuples by residual and
-coordinate separation, and deduplicates.  A start takes full Newton steps
-and stops, keeping its last iterate, at the first step that fails to lower
-its max-norm residual.  Zero-fiber spectra are verified by exhausting the
-full start budget with nothing accepted, a weaker "consistent" outcome,
-since absence cannot be certified by sampling.  A run whose budget ends
+removes one unstable direction).  A start takes full Newton steps and
+stops, keeping its last iterate, at the first step that fails to lower its
+max-norm residual.  A batch's converged rows are checked together: a row
+with colliding coordinates is dropped, and one within the dedup tolerance
+of an accepted tuple or of an earlier non-colliding row of its batch is a
+duplicate.  The accepted tuples stay one (n, d) array, with a residual per
+row, from solve to report; ``tuples`` builds ``RootTuple`` objects when it
+is read.  Zero-fiber spectra are verified by exhausting the full start
+budget with nothing accepted, a weaker "consistent" outcome, since
+absence cannot be certified by sampling.  A run whose budget ends
 short of the expected tuples, an empty budget included, reads "incomplete"
 and reports the distinct polynomials it did find.  Newton runs are
 independent and the final merge is deterministic, so the whole pass is
@@ -89,8 +93,8 @@ class SolverConfig:
         for name in ("budget_factor", "seed"):
             if getattr(self, name) < 0:
                 raise SolverConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.eps_mult > 0:  # also rejects NaN
-            raise SolverConfigError(f"eps_mult must be > 0, got {self.eps_mult}")
+        if not 0 < self.eps_mult < float("inf"):  # also rejects NaN
+            raise SolverConfigError(f"eps_mult must be finite and > 0, got {self.eps_mult}")
 
 
 @dataclass(frozen=True)
@@ -101,16 +105,25 @@ class RootTuple:
     residual: float
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    tuples: tuple[RootTuple, ...]
+class _TupleArray:
+    @property
+    def tuples(self) -> tuple[RootTuple, ...]:
+        """Each row of ``zeta`` and its ``residual`` as a ``RootTuple``, built when read."""
+        rows = zip(self.zeta.tolist(), self.residual.tolist())
+        return tuple(RootTuple(zeta=tuple(z), residual=r) for z, r in rows)
+
+
+@dataclass(frozen=True, eq=False)
+class SolveResult(_TupleArray):
+    zeta: np.ndarray  # (n, d): the accepted tuples, one per row
+    residual: np.ndarray  # (n,)
     starts: int
     converged: int
     deduplicated: int
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+@dataclass(frozen=True, eq=False)
+class VerificationReport(_TupleArray):
     d: int
     found_tuples: int
     expected_tuples: int
@@ -121,8 +134,9 @@ class VerificationReport:
     converged: int
     deduplicated: int
     status: str  # "verified" | "consistent" | "incomplete"
-    near_collisions: tuple[tuple[int, int], ...] = ()
-    tuples: tuple[RootTuple, ...] = field(default=(), repr=False)
+    near_collisions: tuple[tuple[int, int], ...]
+    zeta: np.ndarray = field(repr=False)
+    residual: np.ndarray = field(repr=False)
 
 
 class SigmaSystem:
@@ -160,10 +174,6 @@ class SigmaSystem:
         return J
 
 
-def build_system(spec: Spectrum) -> SigmaSystem:
-    return SigmaSystem(spec)
-
-
 def _newton_batch(system: SigmaSystem, Z: np.ndarray) -> np.ndarray:
     """Newton on each row of Z in place until a step fails to lower its residual."""
     F = system.residual(Z)
@@ -188,20 +198,30 @@ def _newton_batch(system: SigmaSystem, Z: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _scale(zeta) -> float:
-    """max(1, max_i |zeta_i|): the unit of the relative tolerances."""
-    return max(1.0, float(np.abs(zeta).max()))
-
-
-def _min_separation(zeta: np.ndarray) -> float:
-    diff = np.abs(zeta[:, None] - zeta[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return float(diff.min())
-
-
 def _require_solver_degree(d: int, cfg: SolverConfig) -> None:
     if d > cfg.max_degree:
         raise DimensionCapError(f"degree {d} above solver cap {cfg.max_degree}")
+
+
+def _check_batch(C: np.ndarray, accepted: np.ndarray, expected: int) -> tuple[np.ndarray, int]:
+    """Indices of the new distinct tuples among a batch's converged rows C, and
+    the number of duplicates.  Relative to max(1, max_i |zeta_i|) of the row
+    checked, a row with two coordinates within ``EPS_SEP`` collides and is
+    dropped; another row within ``EPS_DUP`` in max-norm of an accepted row or
+    of an earlier non-colliding row of C is a duplicate.  Raises
+    ``SpuriousSolutionError`` if the new tuples take the count past ``expected``.
+    """
+    scale = np.maximum(1.0, np.abs(C).max(axis=1))
+    i, j = np.triu_indices(C.shape[1], 1)
+    rows = np.flatnonzero(np.abs(C[:, i] - C[:, j]).min(axis=1) > EPS_SEP * scale)
+    C, tol = C[rows], EPS_DUP * scale[rows, None]
+    dup = (_row_distances(C, accepted) < tol).any(axis=1)
+    dup |= np.tril(_row_distances(C) < tol, -1).any(axis=1)
+    if len(accepted) + rows.size - dup.sum() > expected:
+        raise SpuriousSolutionError(
+            f"found a {expected + 1}-th distinct tuple, expected {expected}"
+        )
+    return rows[~dup], int(dup.sum())
 
 
 def _disc_starts(rng: random.Random, count: int, d: int, radius: float) -> np.ndarray:
@@ -233,40 +253,26 @@ def solve_system(
     radius = 2.0 * (1.0 + max(abs(complex(v)) for v in spec.lam))
     budget = cfg.budget_factor * (d - 1) * max(expected // (d - 1), 1)
 
-    accepted: list[tuple[np.ndarray, float]] = []  # (tuple, residual)
+    zeta, residual = np.empty((0, d), dtype=complex), np.empty(0)  # the accepted tuples
     starts = converged = duplicates = 0
-    while starts < budget and not 0 < expected <= len(accepted):
+    while starts < budget and not 0 < expected <= len(zeta):
         batch = min(BATCH_SIZE, budget - starts)
         Z = _disc_starts(rng, batch, d, radius)
         norms = _newton_batch(system, Z)
         starts += batch
-        for row in np.flatnonzero(norms < EPS_RES):
-            zeta = Z[row]
-            converged += 1
-            scale = _scale(zeta)
-            if _min_separation(zeta) <= EPS_SEP * scale:
-                continue  # coordinate collision, not a valid configuration
-            if any(np.abs(zeta - z).max() < EPS_DUP * scale for z, _ in accepted):
-                duplicates += 1
-                continue
-            if len(accepted) >= expected:
-                raise SpuriousSolutionError(
-                    f"found a {len(accepted) + 1}-th distinct tuple, "
-                    f"expected {expected}"
-                )
-            accepted.append((zeta.copy(), float(norms[row])))
+        rows = np.flatnonzero(norms < EPS_RES)
+        new, dups = _check_batch(Z[rows], zeta, expected)
+        converged += rows.size
+        duplicates += dups
+        zeta = np.concatenate([zeta, Z[rows[new]]])
+        residual = np.concatenate([residual, norms[rows[new]]])
 
-    accepted.sort(key=lambda a: tuple((v.real, v.imag) for v in a[0]))
-    final = tuple(
-        RootTuple(zeta=tuple(complex(v) for v in z), residual=res)
-        for z, res in accepted
-    )
-    result = SolveResult(
-        tuples=final, starts=starts, converged=converged, deduplicated=duplicates
-    )
-    if len(final) < expected:
+    # lexicographic by (re, im) of each coordinate; lexsort's last key leads
+    order = np.lexsort([part for col in zeta.T[::-1] for part in (col.imag, col.real)])
+    result = SolveResult(zeta[order], residual[order], starts, converged, duplicates)
+    if len(zeta) < expected:
         raise BudgetExhaustedError(
-            f"found {len(final)} of {expected} tuples in {starts} starts",
+            f"found {len(zeta)} of {expected} tuples in {starts} starts",
             result=result,
         )
     return result
@@ -291,11 +297,12 @@ def forward_multipliers(zeta) -> list[complex]:
     return [complex(m) for m in _multipliers(z[None, :])[0]]
 
 
-def _row_distances(A: np.ndarray) -> np.ndarray:
-    """Max-norm distance between every two rows of A, one column at a time."""
-    D = np.zeros((len(A), len(A)))
-    for col in A.T:
-        np.maximum(D, np.abs(col[:, None] - col[None, :]), out=D)
+def _row_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+    """Max-norm distance from each row of A to each row of B (default A), by columns."""
+    B = A if B is None else B
+    D = np.zeros((len(A), len(B)))
+    for a, b in zip(A.T, B.T):
+        np.maximum(D, np.abs(a[:, None] - b[None, :]), out=D)
     return D
 
 
@@ -329,10 +336,6 @@ def _orbits(Z: np.ndarray, classes: ValueClasses | None = None) -> int:
     return len(sizes)
 
 
-def _tuple_array(tuples, d: int) -> np.ndarray:
-    return np.array([t.zeta for t in tuples], dtype=complex).reshape(len(tuples), d)
-
-
 def orbit_count(tuples, classes: ValueClasses) -> int:
     """Group tuples into the distinct polynomials they define.
 
@@ -340,7 +343,8 @@ def orbit_count(tuples, classes: ValueClasses) -> int:
     permutation maps one to the other.  Raises ``NonFreeActionError``
     unless every polynomial comes from exactly group-order many tuples.
     """
-    return _orbits(_tuple_array(tuples, sum(classes.sizes)), classes)
+    Z = np.array([t.zeta for t in tuples], dtype=complex)
+    return _orbits(Z.reshape(len(tuples), sum(classes.sizes)), classes)
 
 
 def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> VerificationReport:
@@ -359,22 +363,18 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
     expected_orbits = counts.mc_count
 
     if d == 2:
-        # Analytic: the unique configuration is (c, -c) with c = -1/(2 mu_1).
+        # Analytic: the unique configuration is (c, -c) with c = -1/(2 mu_1),
+        # one converged tuple from no starts.
         c = -1.0 / (2.0 * complex(spec.mu[0]))
-        result = SolveResult(
-            tuples=(RootTuple(zeta=(c, -c), residual=0.0),),
-            starts=0,
-            converged=1,
-            deduplicated=0,
-        )
+        result = SolveResult(np.array([[c, -c]]), np.zeros(1), 0, 1, 0)
     else:
         try:
             result = solve_system(spec, cfg, expected_tuples)
         except BudgetExhaustedError as exc:
             result = exc.result
 
-    found = len(result.tuples)
-    Z = _tuple_array(result.tuples, d)
+    Z = result.zeta
+    found = len(Z)
     lam = np.array([complex(v) for v in spec.lam])
     err = np.abs(_multipliers(Z) - lam)
     max_err = float(err.max(initial=0.0))
@@ -408,5 +408,6 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
         deduplicated=result.deduplicated,
         status=status,
         near_collisions=tuple(map(tuple, np.argwhere(near).tolist())),
-        tuples=result.tuples,
+        zeta=Z,
+        residual=result.residual,
     )

@@ -253,6 +253,13 @@ def test_verify_bad_budget_factor_exits_one():
     assert "budget_factor" in err
 
 
+def test_verify_non_finite_eps_mult_exits_one():
+    for value in ("inf", "nan"):
+        code, _, err = run_cli("verify", FIXTURE, "--eps-mult", value)
+        assert code == 1, value
+        assert "eps_mult" in err
+
+
 def test_count_gaussian_scalars():
     code, out, _ = run_cli("count", '{"d":4,"mu":["0+1i","0-1i","2","-2"]}')
     assert code == 0

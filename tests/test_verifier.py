@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from multfiber.counting import fiber_size_closed_form, monic_centered_count
 from multfiber.errors import (
@@ -13,13 +15,14 @@ from multfiber.errors import (
     InputError,
     InternalCheckError,
     NonFreeActionError,
+    SpuriousSolutionError,
 )
 from multfiber import verifier
 from multfiber.spectrum import from_shifts, validate, value_classes
 from multfiber.verifier import (
     RootTuple,
+    SigmaSystem,
     SolverConfig,
-    build_system,
     forward_multipliers,
     orbit_count,
     solve_system,
@@ -32,7 +35,7 @@ FIXTURE = ["0", "2", "1/2", "3/2"]
 def test_system_shape_and_known_solution():
     # mu = (2, -1, -1): solutions are (0, b, -b) with -2 b^2 = -1
     spec = from_shifts([2, -1, -1])
-    system = build_system(spec)
+    system = SigmaSystem(spec)
     b = 1.0 / np.sqrt(2.0)
     Z = np.array([[0.0, b, -b], [0.0, -b, b]], dtype=complex)
     residuals = np.abs(system.residual(Z)).max(axis=1)
@@ -41,7 +44,7 @@ def test_system_shape_and_known_solution():
 
 def test_jacobian_matches_finite_differences():
     spec = validate(FIXTURE)
-    system = build_system(spec)
+    system = SigmaSystem(spec)
     rng = np.random.default_rng(1)
     Z = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     J = system.jacobian(Z)
@@ -55,7 +58,7 @@ def test_jacobian_matches_finite_differences():
 
 def test_system_requires_degree_three():
     with pytest.raises(DegreeTooSmallError):
-        build_system(validate(["0", "2"]))
+        SigmaSystem(validate(["0", "2"]))
 
 
 def test_solver_degree_cap():
@@ -244,6 +247,33 @@ def test_verify_gaussian_spectrum():
     assert report.max_multiplier_error < 1e-8
 
 
+@pytest.mark.parametrize("expected", [0, 1, 2])
+def test_solve_raises_past_a_too_small_expected_count(expected):
+    # the fixture has 3 tuples, and the first batch finds all of them
+    with pytest.raises(SpuriousSolutionError, match=f"expected {expected}$"):
+        solve_system(validate(FIXTURE), expected=expected)
+
+
+def test_solve_result_counts_and_order():
+    result = solve_system(from_shifts([1, -1, 2, -2, 3, -3]))
+    assert result.converged >= len(result.tuples) + result.deduplicated
+    assert result.deduplicated > 0
+    keys = [tuple((v.real, v.imag) for v in t.zeta) for t in result.tuples]
+    assert len(keys) == 35
+    assert keys == sorted(keys)
+
+
+def test_report_tuples_are_built_alike_on_each_read():
+    report = verify_spectrum(validate(FIXTURE))
+    assert report.zeta.shape == (3, 4) and report.residual.shape == (3,)
+    first, second = report.tuples, report.tuples
+    assert first == second
+    assert first is not second
+    for t in first:
+        assert isinstance(t, RootTuple) and type(t.residual) is float
+        assert all(type(v) is complex for v in t.zeta)
+
+
 def test_verify_is_deterministic_under_seed():
     spec = from_shifts([1, 2, -3])
     a = verify_spectrum(spec, SolverConfig(seed=5))
@@ -259,6 +289,7 @@ def test_verify_is_deterministic_under_seed():
         ("budget_factor", -1),
         ("seed", -1),
         ("eps_mult", 0.0),
+        ("eps_mult", float("inf")),
     ],
 )
 def test_solver_config_rejects_bad_values(field, value):
@@ -339,3 +370,138 @@ def test_verify_degree_six_under_any_seed(shifts, seed):
     assert report.status == "verified"
     assert report.found_tuples == report.expected_tuples
     assert report.mc_orbits == report.expected_orbits
+
+
+# --- the batch check against the per-row rule it replaced ------------------------
+
+def _unit(zeta):
+    return max(1.0, float(np.abs(zeta).max()))
+
+
+def _reference_check(C, accepted, expected):
+    """One row at a time: collision, then a duplicate of an accepted row,
+    then the ``expected`` check; a row kept joins the accepted rows."""
+    pool, kept, duplicates = list(accepted), [], 0
+    for row, zeta in enumerate(C):
+        scale = _unit(zeta)
+        sep = np.abs(zeta[:, None] - zeta[None, :])
+        np.fill_diagonal(sep, np.inf)
+        if sep.min() <= verifier.EPS_SEP * scale:
+            continue
+        if any(np.abs(zeta - z).max() < verifier.EPS_DUP * scale for z in pool):
+            duplicates += 1
+            continue
+        if len(pool) >= expected:
+            raise SpuriousSolutionError(
+                f"found a {len(pool) + 1}-th distinct tuple, expected {expected}"
+            )
+        pool.append(zeta)
+        kept.append(row)
+    return kept, duplicates
+
+
+def _outcome(check, C, accepted, expected):
+    try:
+        kept, duplicates = check(C, accepted, expected)
+    except SpuriousSolutionError as exc:
+        return str(exc)
+    return [int(k) for k in kept], duplicates
+
+
+def _separation(zeta):
+    d = len(zeta)
+    return min(abs(zeta[a] - zeta[b]) for a in range(d) for b in range(a + 1, d))
+
+
+@st.composite
+def clustered_batches(draw):
+    """Rows in clusters of spread < EPS_DUP/4 and gaps > 4 EPS_DUP, relative,
+    some with colliding coordinates, and accepted rows from the clusters."""
+    d = draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    centers, colliding = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        scale = 10.0 ** draw(st.floats(-6, 6))
+        values = draw(st.lists(grid, min_size=d, max_size=d, unique=True))
+        centers.append(scale * np.array([complex(a, b) for a, b in values]))
+        colliding.append(draw(st.sampled_from([False, False, True])))
+    units = [_unit(c) for c in centers]
+    for a in range(len(centers)):
+        for b in range(a):
+            gap = np.abs(centers[a] - centers[b]).max()
+            assume(gap > 5 * verifier.EPS_DUP * max(units[a], units[b]))
+
+    def member(k):
+        noise = np.array([1, 1j]) @ rng.uniform(-1, 1, (2, d))
+        zeta = centers[k] + verifier.EPS_DUP / 20 * units[k] * noise
+        if colliding[k]:
+            zeta[1] = zeta[0]
+        return zeta
+
+    labels = [draw(st.integers(0, len(centers) - 1)) for _ in range(draw(st.integers(0, 12)))]
+    distinct = [k for k in range(len(centers)) if not colliding[k]]
+    held = draw(st.lists(st.sampled_from(distinct), unique=True)) if distinct else []
+    accepted = np.array([member(k) for k in held], dtype=complex).reshape(-1, d)
+    C = np.array([member(k) for k in labels], dtype=complex).reshape(-1, d)
+    expected = len(accepted) + draw(st.integers(0, len(centers)))
+    return C, accepted, expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(clustered_batches())
+def test_batch_check_matches_the_per_row_rule_on_clusters(batch):
+    C, accepted, expected = batch
+    assert _outcome(verifier._check_batch, C, accepted, expected) == _outcome(
+        _reference_check, C, accepted, expected
+    )
+
+
+@st.composite
+def arbitrary_batches(draw):
+    """Rows at any scale, some placed near an earlier row at a distance
+    around the dedup tolerance; the first ones are the accepted rows."""
+    d = draw(st.integers(3, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(0, 16))):
+        noise = np.array([1, 1j]) @ rng.normal(size=(2, d))
+        if rows and draw(st.booleans()):
+            base = rows[draw(st.integers(0, len(rows) - 1))]
+            rows.append(base + 10.0 ** draw(st.floats(-8, -4)) * _unit(base) * noise)
+        else:
+            rows.append(10.0 ** draw(st.floats(-6, 6)) * noise)
+    Z = np.array(rows, dtype=complex).reshape(-1, d)
+    held = draw(st.integers(0, len(Z)))
+    return Z[held:], Z[:held]
+
+
+@settings(max_examples=300, deadline=None)
+@given(arbitrary_batches())
+def test_batch_check_keeps_distinct_rows_and_drops_only_near_ones(batch):
+    C, accepted = batch
+    kept, duplicates = verifier._check_batch(C, accepted, len(accepted) + len(C))
+    kept = kept.tolist()
+    fine = [_separation(z) > verifier.EPS_SEP * _unit(z) for z in C]
+    assert all(fine[i] for i in kept)
+    assert duplicates == sum(fine) - len(kept)
+    for i, zeta in enumerate(C):
+        tol = verifier.EPS_DUP * _unit(zeta)
+        if i in kept:
+            others = [*accepted, *(C[j] for j in kept if j < i)]
+            assert all(np.abs(zeta - z).max() >= tol for z in others)
+        elif fine[i]:
+            others = [*accepted, *(C[j] for j in range(i) if fine[j])]
+            assert any(np.abs(zeta - z).max() < tol for z in others)
+
+
+def test_batch_check_counts_a_row_near_an_earlier_duplicate():
+    # a chain of rows 0.6 EPS_DUP apart in their unit, max|zeta| = 2: the
+    # third row is near the second, a duplicate, but not near the first,
+    # so the per-row rule kept it
+    C = np.array([[0, 1, 2], [0, 1, 2], [0, 1, 2]], dtype=complex)
+    C[:, 0] += 0.6 * verifier.EPS_DUP * 2 * np.arange(3)
+    none = np.empty((0, 3), dtype=complex)
+    kept, duplicates = verifier._check_batch(C, none, 3)
+    assert (kept.tolist(), duplicates) == ([0], 2)
+    assert _reference_check(C, none, 3) == ([0, 2], 1)
