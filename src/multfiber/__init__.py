@@ -46,7 +46,6 @@ from .polyfam import (
     coarsening_value,
     collapsed_poly,
     restriction_identity_holds,
-    shape_partitions,
     vanishing_sum,
 )
 
@@ -106,7 +105,6 @@ __all__ = [
     "weight_from_refinements",
     "expansion_in_factorial_weights",
     "IntPolynomial",
-    "shape_partitions",
     "coarsening_sum",
     "coarsening_value",
     "collapsed_poly",

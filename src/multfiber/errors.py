@@ -60,10 +60,10 @@ class DimensionCapError(InputError):
 
     The limits: scan degree (``lattice.MAX_SCAN_DEGREE``), block pairs
     (``lattice.MAX_PAIR_WORK``), partitions the lattice builds
-    (``lattice.MAX_PARTITIONS``), blocks of an abstract set partition
-    (``polyfam.MAX_BLOCKS``), set partitions of a sweep
-    (``polyfam.MAX_SWEEP``), the polynomial table's block count
-    (``polyfam.MAX_TABLE_L``) and the solver's degree cap.
+    (``lattice.MAX_PARTITIONS``), blocks of a coarsening sum's 2^l-subset
+    pass (``polyfam.MAX_BLOCKS``), a sweep's measure, the set partitions of
+    its size vectors (``polyfam.MAX_SWEEP``), the polynomial table's block
+    count (``polyfam.MAX_TABLE_L``) and the solver's degree cap.
     """
 
 

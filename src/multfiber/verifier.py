@@ -225,7 +225,13 @@ def _check_batch(C: np.ndarray, accepted: np.ndarray, expected: int) -> tuple[np
 
 
 def _disc_starts(rng: random.Random, count: int, d: int, radius: float) -> np.ndarray:
-    u = np.array([rng.random() for _ in range(2 * count * d)]).reshape(2, count, d)
+    # The floats rng.random() would give, in one call: random() makes
+    # ((a >> 5) * 2^26 + (b >> 6)) / 2^53 of each pair of the generator's
+    # words, which getrandbits packs little-endian; the end state is the same.
+    n = 2 * count * d
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
+    u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
+    u = u.reshape(2, count, d)
     Z = radius * np.sqrt(u[0]) * np.exp(2j * np.pi * u[1])
     return Z - Z.mean(axis=1, keepdims=True)  # project onto the zero-sum plane
 

@@ -1,0 +1,67 @@
+"""Slow references for the coarsening sums: explicit set partitions.
+
+``multfiber.polyfam`` computes each coarsening sum by a recurrence over the
+subsets of the blocks and never lists a partition.  The listing kept here,
+Bell(l) partitions cached per l, is what the tests check that recurrence
+against.
+"""
+
+from functools import lru_cache
+
+from multfiber.errors import DimensionCapError
+from multfiber.polyfam import MAX_BLOCKS
+
+
+@lru_cache(maxsize=None)
+def _set_partitions(l: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All partitions of {0,...,l-1}, blocks ordered by first element.
+
+    There are Bell(l) of them, so l above ``MAX_BLOCKS`` raises
+    ``DimensionCapError`` before any is built.
+    """
+    if l > MAX_BLOCKS:
+        raise DimensionCapError(f"{l} blocks above the block limit {MAX_BLOCKS}")
+    results: list[tuple[tuple[int, ...], ...]] = []
+    blocks: list[list[int]] = []
+
+    def place(i: int):
+        if i == l:
+            results.append(tuple(tuple(b) for b in blocks))
+            return
+        for b in blocks:
+            b.append(i)
+            place(i + 1)
+            b.pop()
+        blocks.append([i])
+        place(i + 1)
+        blocks.pop()
+
+    place(0)
+    return tuple(results)
+
+
+def shape_partitions(l: int, k: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All partitions of {0,...,l-1} into exactly k nonempty blocks.
+
+    Empty for k <= 0 or k >= l+1.
+    """
+    if l < 2:
+        raise ValueError(f"need l >= 2, got {l}")
+    if k <= 0 or k >= l + 1:
+        return []
+    return [p for p in _set_partitions(l) if len(p) == k]
+
+
+def enumerated_coarsening_sum(l: int, k: int, xs) -> int:
+    """``coarsening_sum`` by direct enumeration of ``shape_partitions``."""
+    xs = tuple(xs)
+    if len(xs) != l:
+        raise ValueError(f"expected {l} values, got {len(xs)}")
+    total = 0
+    for partition in shape_partitions(l, k):
+        term = 1
+        for block in partition:
+            base = -(sum(xs[u] for u in block) - 1)
+            term *= base ** (len(block) - 1)
+        total += term
+    return total

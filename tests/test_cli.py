@@ -122,7 +122,7 @@ def test_identity_check_bad_sizes():
     assert code == 1 and err.strip()
     code, _, _ = run_cli("identity-check", "--sizes", "4")
     assert code == 1
-    # Bell(12) set partitions would exhaust memory: refused before building
+    # more than MAX_BLOCKS = 11 blocks: refused before the row pass starts
     code, _, err = run_cli("identity-check", "--sizes", ",".join(["2"] * 12))
     assert code == 1 and "block limit" in err
 

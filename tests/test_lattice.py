@@ -22,8 +22,8 @@ from multfiber.lattice import (
     refines,
     zero_sum_subsets,
 )
-from multfiber.polyfam import shape_partitions
 from multfiber.spectrum import from_shifts, generate
+from reference import shape_partitions
 
 
 def brute_zero_sum_subsets(spec):

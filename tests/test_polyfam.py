@@ -1,20 +1,23 @@
 """Coarsening polynomials: golden table, recurrences, identities."""
 
 import itertools
+import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from multfiber.errors import DimensionCapError
 from multfiber.polyfam import (
     IntPolynomial,
     coarsening_sum,
     coarsening_value,
     collapsed_poly,
     restriction_identity_holds,
-    shape_partitions,
     vanishing_sum,
 )
+from reference import enumerated_coarsening_sum, shape_partitions
 
 # the full l <= 5 triangle, ascending coefficients in d
 GOLDEN = {
@@ -63,6 +66,41 @@ def test_coarsening_sum_small_closed_forms():
         for x2 in range(-3, 4):
             assert coarsening_sum(2, 1, (x1, x2)) == -(x1 + x2 - 1)
             assert coarsening_sum(2, 2, (x1, x2)) == 1
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 8).flatmap(
+        lambda l: st.tuples(
+            st.just(l),
+            st.integers(-1, l + 1),
+            st.lists(st.integers(-6, 6), min_size=l, max_size=l),
+        )
+    )
+)
+@example((3, 2, [0, 0, 0]))
+@example((8, 3, [2, 2, 0, -6, 6, 2, 0, 2]))
+@example((8, 8, [1] * 8))
+def test_coarsening_sum_matches_enumeration(case):
+    l, k, xs = case
+    assert coarsening_sum(l, k, xs) == enumerated_coarsening_sum(l, k, xs)
+
+
+@pytest.mark.parametrize(
+    "l, k, xs",
+    [(1, 1, (3,)), (0, 0, ()), (1, 0, (2,)), (-1, 1, ()), (3, 2, (1, 2)), (2, 1, (1, 2, 3))],
+)
+def test_coarsening_sum_errors_match_enumeration(l, k, xs):
+    got = _outcome(coarsening_sum, l, k, xs)
+    assert got == _outcome(enumerated_coarsening_sum, l, k, xs)
+    assert got[0] == "ValueError"
 
 
 def test_coarsening_sum_four_two_matches_quadratic():
@@ -127,6 +165,26 @@ def test_vanishing_sum_examples():
     assert vanishing_sum((3, 2, 2, 4)) == 0
     with pytest.raises(ValueError):
         vanishing_sum((4,))
+
+
+def test_vanishing_sum_checks_blocks_before_huge_sizes():
+    start = time.perf_counter()
+    assert vanishing_sum((2, 10**6)) == 0
+    with pytest.raises(DimensionCapError, match="block limit"):
+        vanishing_sum((10**6,) * 12)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_vanishing_sum_builds_no_partition_list():
+    # one row per subset: about 0.3 MiB at l = 10, where the Bell(10)
+    # partition list takes about 41 MiB
+    tracemalloc.start()
+    try:
+        assert vanishing_sum((2,) * 10) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_vanishing_sum_sweep_small():

@@ -1,5 +1,8 @@
 """Numerical oracle: system construction, Newton solve, orbit grouping."""
 
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -280,6 +283,29 @@ def test_verify_is_deterministic_under_seed():
     b = verify_spectrum(spec, SolverConfig(seed=5))
     assert a.tuples == b.tuples
     assert a.starts == b.starts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 19])
+@pytest.mark.parametrize("count, d", [(1, 3), (3, 4), (512, 3), (512, 6)])
+def test_start_draw_equals_the_random_loop(seed, count, d):
+    loop, block = random.Random(seed), random.Random(seed)
+    loop.random(), block.random()  # start mid-stream, as later batches do
+    u = np.array([loop.random() for _ in range(2 * count * d)]).reshape(2, count, d)
+    Z = 3.5 * np.sqrt(u[0]) * np.exp(2j * np.pi * u[1])
+    expected = Z - Z.mean(axis=1, keepdims=True)
+    drawn = verifier._disc_starts(block, count, d, 3.5)
+    assert drawn.shape == (count, d) and drawn.tobytes() == expected.tobytes()
+    assert block.getstate() == loop.getstate()
+
+
+def test_verifier_leaves_numpy_random_unimported():
+    code = (
+        "import sys, multfiber as mf; "
+        "mf.verify_spectrum(mf.from_shifts([1, 2, -3])); "
+        "print('numpy.random' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(
