@@ -62,7 +62,7 @@ from .lattice import (
     inner_block_count,
     zero_sum_subsets,
 )
-from .spectrum import Spectrum, ValueClasses, value_classes
+from .spectrum import Spectrum, ValueClasses, group_order, value_classes
 
 ENGINES = ("subspectra", "refinement")
 
@@ -208,6 +208,16 @@ def class_gcds(sizes) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _monic_centered(d: int, size: int, sizes: tuple[int, ...]) -> int:
+    return _exact_quotient((d - 1) * size, group_order(sizes), "(d-1)*count")
+
+
+def _conjugacy(size: int, sizes: tuple[int, ...]) -> int | None:
+    if any(g != 1 for g in class_gcds(sizes)):
+        return None
+    return _exact_quotient(size, group_order(sizes), "count")
+
+
 def monic_centered_count(
     spec: Spectrum,
     lat: Lattice | None = None,
@@ -221,10 +231,10 @@ def monic_centered_count(
     ``size`` it comes from the mask pass; ``lat`` is unused.
     """
     if size is None:
-        size = fiber_report(spec).s_d
+        return fiber_report(spec).mc_count
     if classes is None:
         classes = value_classes(spec)
-    return _exact_quotient((spec.d - 1) * size, classes.group_order(), "(d-1)*count")
+    return _monic_centered(spec.d, size, classes.sizes)
 
 
 def conjugacy_count(
@@ -240,11 +250,9 @@ def conjugacy_count(
     """
     if classes is None:
         classes = value_classes(spec)
-    if any(g != 1 for g in class_gcds(classes.sizes)):
-        return None
-    if size is None:
+    if size is None and all(g == 1 for g in class_gcds(classes.sizes)):
         size = fiber_report(spec).s_d
-    return _exact_quotient(size, classes.group_order(), "count")
+    return _conjugacy(size, classes.sizes)
 
 
 # --- symbolic expansion in factorial weights (test instrumentation) -------------
@@ -335,14 +343,16 @@ def mask_counts(spec: Spectrum) -> tuple[dict[str, int], int, int]:
 
 @dataclass(frozen=True, slots=True)
 class FiberReport:
-    """All computed counts for one spectrum."""
+    """All computed counts for one spectrum.
+
+    Only the count, the class sizes and the two sizes are stored; every
+    other count derives from them, and ``fiber_report`` has checked each
+    derivation before it builds the report.
+    """
 
     d: int
     s_d: int
-    mc_count: int
-    mp_count: int | None
     kappa_sizes: tuple[int, ...]
-    engines: dict[str, int]
     lattice_partitions: int
     zero_sum_subsets: int
 
@@ -351,12 +361,29 @@ class FiberReport:
         return (self.d - 1) * self.s_d
 
     @property
+    def mc_count(self) -> int:
+        return _monic_centered(self.d, self.s_d, self.kappa_sizes)
+
+    @property
+    def mp_count(self) -> int | None:
+        return _conjugacy(self.s_d, self.kappa_sizes)
+
+    @property
+    def engines(self) -> dict[str, int]:
+        """The count by route; ``fiber_report`` checked that they agree."""
+        return dict.fromkeys((*ENGINES, "closed_form"), self.s_d)
+
+    @property
     def gw_flags(self) -> tuple[int, ...]:
         return class_gcds(self.kappa_sizes)
 
 
 def fiber_report(spec: Spectrum) -> FiberReport:
-    """Run all three routes, check agreement and bounds, collect the counts."""
+    """Run all three routes and check their agreement, bounds and divisions.
+
+    The report derives the discrete counts from ``s_d`` and the class sizes,
+    so both exact divisions are checked here, before it is built.
+    """
     by_engine, partitions, zero_sum = mask_counts(spec)
     d = spec.d
     values = set(by_engine.values())
@@ -367,14 +394,13 @@ def fiber_report(spec: Spectrum) -> FiberReport:
         raise InvariantViolationError(
             f"count {size} outside [0, (d-2)!] for d={d}"
         )
-    classes = value_classes(spec)
+    sizes = value_classes(spec).sizes
+    _monic_centered(d, size, sizes)
+    _conjugacy(size, sizes)
     return FiberReport(
         d=d,
         s_d=size,
-        mc_count=monic_centered_count(spec, None, size, classes),
-        mp_count=conjugacy_count(spec, None, size, classes),
-        kappa_sizes=classes.sizes,
-        engines=by_engine,
+        kappa_sizes=sizes,
         lattice_partitions=partitions,
         zero_sum_subsets=zero_sum,
     )

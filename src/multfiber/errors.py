@@ -58,8 +58,10 @@ class SpectrumFormatError(InputError):
 class DimensionCapError(InputError):
     """Work above a fixed limit, refused before it starts.
 
-    The limits: scan degree (``lattice.MAX_SCAN_DEGREE``), block pairs
-    (``lattice.MAX_PAIR_WORK``), partitions the lattice builds
+    The limits: scan degree (``lattice.MAX_SCAN_DEGREE``, which bounds the
+    half-sum lists of the meet-in-the-middle scan), block pairs
+    (``lattice.MAX_PAIR_WORK``, checked by the scan from its count of
+    zero-sum subsets and again per lowest bit), partitions the lattice builds
     (``lattice.MAX_PARTITIONS``), blocks of a coarsening sum's 2^l-subset
     pass (``polyfam.MAX_BLOCKS``), a sweep's measure, the set partitions of
     its size vectors (``polyfam.MAX_SWEEP``), the polynomial table's block

@@ -5,25 +5,29 @@ partition splits the full index set into disjoint blocks whose shift sums
 all vanish exactly; the lattice collects every such partition, including
 the trivial one-block partition, ordered by refinement.
 
-Enumeration runs in two stages: one scan doubles a list of the exact
-integer sums of all 2^d subsets and keeps the zero ones, then an
-exact-cover search assembles partitions, always extending with the block
-containing the smallest uncovered index, which yields each partition
-exactly once and in canonical block order.  ``MAX_SCAN_DEGREE`` bounds the
-scan and ``MAX_PAIR_WORK`` the block pairs that the cover search and the
-counting pass try; each raises ``DimensionCapError`` before its work.  No
-spectrum with d <= 16 reaches either: it has at most C(16, 8) zero-sum
-subsets (Littlewood-Offord).  ``MAX_PARTITIONS`` bounds the partitions
-the lattice builds (the counting pass builds none): the covers are counted
-first, and past the limit ``DimensionCapError`` comes before any partition
-is built.  Results are immutable and shareable.
+Enumeration runs in two stages.  A meet-in-the-middle scan builds the exact
+integer sums of the subsets of each index half by list doubling and joins
+the halves whose sums cancel, so it builds at most 2 * 2^ceil(d/2) sums,
+not 2^d.  Then an exact-cover search assembles partitions, always extending
+with the block containing the smallest uncovered index, which yields each
+partition exactly once and in canonical block order.  ``MAX_SCAN_DEGREE``
+bounds the scan and ``MAX_PAIR_WORK`` the block pairs that the cover search
+and the counting pass try; each raises ``DimensionCapError`` before its
+work.  The scan counts the zero-sum subsets Z before it builds a mask and
+refuses a Z whose block pairs must pass ``MAX_PAIR_WORK``.  No spectrum
+with d <= 16 reaches either limit: it has at most C(16, 8) zero-sum subsets
+(Littlewood-Offord).  ``MAX_PARTITIONS`` bounds the partitions the lattice
+builds (the counting pass builds none): the covers are counted first, and
+past the limit ``DimensionCapError`` comes before any partition is built.
+Results are immutable and shareable.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
-from math import lcm
+from itertools import compress, islice, repeat
+from math import comb, lcm
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import DimensionCapError, GroundSetMismatchError
@@ -31,7 +35,7 @@ from .errors import DimensionCapError, GroundSetMismatchError
 if TYPE_CHECKING:
     from .spectrum import Spectrum
 
-MAX_SCAN_DEGREE = 22  # 2^22 subset sums: under 1 s and about 250 MB
+MAX_SCAN_DEGREE = 38  # 2 * 2^19 half sums: about 0.5 s and 100 MB
 MAX_PAIR_WORK = 10**8  # block pairs: about 10 s of counting at 100 ns each
 MAX_PARTITIONS = 10**6  # partitions the lattice builds: about 11 s and 300 MB
 
@@ -46,11 +50,22 @@ def mask_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def subset_sums(values) -> list[int]:
+    """sums[mask] is the sum of ``values`` over the bits of mask, by doubling."""
+    sums = [0]
+    for v in values:
+        sums += [s + v for s in sums]
+    return sums
+
+
 def zero_sum_subsets(spec: "Spectrum") -> list[int]:
     """All proper nonempty index sets with exactly vanishing shift sum.
 
     Every returned subset has size >= 2, because single shifts are nonzero.
     Masks come in ascending order, so each follows all of its subsets.
+    Z + 1 masks (the full one too) with at most d lowest bits need at least
+    d * C(floor((Z+1)/d), 2) block pairs, so a Z past ``MAX_PAIR_WORK``
+    raises ``DimensionCapError`` before any mask is built.
     """
     d = spec.d
     if d > MAX_SCAN_DEGREE:
@@ -62,11 +77,31 @@ def zero_sum_subsets(spec: "Spectrum") -> list[int]:
         denom = lcm(denom, m.re.denominator, m.im.denominator)
     ims = [int(m.im * denom) for m in spec.mu]
     k = 2 * sum(map(abs, ims)) + 1
-    sums = [0]  # sums[mask] is the packed sum over mask
-    for m, im in zip(spec.mu, ims):
-        v = int(m.re * denom) * k + im
-        sums += [s + v for s in sums]
-    return [mask for mask in range(1, len(sums) - 1) if not sums[mask]]
+    packed = [int(m.re * denom) * k + im for m, im in zip(spec.mu, ims)]
+    # A mask is zero-sum when its low half's negated sum equals its high
+    # half's sum (Horowitz-Sahni): at most 2 * 2^ceil(d/2) sums, not 2^d.
+    h = d // 2
+    neg_low = subset_sums([-v for v in packed[:h]])
+    high = subset_sums(packed[h:])
+    buckets = Counter(neg_low)
+    found = sum(map(buckets.get, high, repeat(0)))  # the empty and full masks too
+    work = d * comb((found - 1) // d, 2)
+    if work > MAX_PAIR_WORK:
+        raise DimensionCapError(
+            f"{found - 2} zero-sum subsets need at least {work} block pairs, "
+            f"above the pair-work limit {MAX_PAIR_WORK}"
+        )
+    hits = buckets.keys() & high
+    low_by_sum: dict[int, list[int]] = {}
+    for i in compress(range(len(neg_low)), map(hits.__contains__, neg_low)):
+        low_by_sum.setdefault(neg_low[i], []).append(i)
+    # Ascending high halves, each with its ascending low halves: ascending masks.
+    masks = [
+        j << h | i
+        for j in compress(range(len(high)), map(hits.__contains__, high))
+        for i in low_by_sum[high[j]]
+    ]
+    return masks[1:-1]  # drop the empty and the full mask
 
 
 def group_by_low_bit(masks: list[int]) -> dict[int, list[int]]:

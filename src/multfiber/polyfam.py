@@ -25,6 +25,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import DimensionCapError
+from .lattice import subset_sums
 
 MAX_BLOCKS = 11  # the row pass joins (3^11 - 1)/2 = 88,573 block pairs: about 0.1 s, 1 MB
 MAX_SWEEP = 3_000_000  # sweep measure: max_l 7, max_size 4 is 2.08M (2.5 s)
@@ -116,9 +117,7 @@ def _coarsening_row(xs: tuple[int, ...]) -> list[int]:
     """
     if len(xs) > MAX_BLOCKS:
         raise DimensionCapError(f"{len(xs)} blocks above the block limit {MAX_BLOCKS}")
-    sums = [0]  # sums[J] is the sum of xs over J, built by doubling
-    for x in xs:
-        sums += [s + x for s in sums]
+    sums = subset_sums(xs)  # sums[J] is the sum of xs over J
     weight = [0] + [(1 - sums[j]) ** (j.bit_count() - 1) for j in range(1, len(sums))]
     rows = [[1]]  # rows[S][k] sums the k-block partitions of S; one of the empty set
     for mask in range(1, len(sums)):

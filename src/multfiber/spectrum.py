@@ -72,11 +72,15 @@ class ValueClasses:
         return tuple(len(k) for k in self.classes)
 
     def group_order(self) -> int:
-        """Order of the class-preserving permutation group, prod (#K)!."""
-        order = 1
-        for k in self.classes:
-            order *= factorial(len(k))
-        return order
+        return group_order(self.sizes)
+
+
+def group_order(sizes) -> int:
+    """Order of the class-preserving permutation group, prod (#K)!."""
+    order = 1
+    for n in sizes:
+        order *= factorial(n)
+    return order
 
 
 def _shift_vector(values, shift, what: str, min_len: int = 2, error=OffHyperplaneError):

@@ -1,12 +1,16 @@
-"""Slow references for the coarsening sums: explicit set partitions.
+"""Slow references that the tests hold faster production paths to.
 
 ``multfiber.polyfam`` computes each coarsening sum by a recurrence over the
 subsets of the blocks and never lists a partition.  The listing kept here,
 Bell(l) partitions cached per l, is what the tests check that recurrence
 against.
+
+``multfiber.lattice.zero_sum_subsets`` joins the subset sums of two index
+halves.  The scan kept here builds the exact sums of all 2^d subsets.
 """
 
 from functools import lru_cache
+from math import lcm
 
 from multfiber.errors import DimensionCapError
 from multfiber.polyfam import MAX_BLOCKS
@@ -65,3 +69,19 @@ def enumerated_coarsening_sum(l: int, k: int, xs) -> int:
             term *= base ** (len(block) - 1)
         total += term
     return total
+
+
+def doubling_zero_sum_subsets(spec) -> list[int]:
+    """``zero_sum_subsets`` by the packed sums of all 2^d subsets, ascending."""
+    # Clear denominators and pack each shift as re*k + im; |subset im sum|
+    # < k/2, so a packed sum is 0 exactly when both parts are.
+    denom = 1
+    for m in spec.mu:
+        denom = lcm(denom, m.re.denominator, m.im.denominator)
+    ims = [int(m.im * denom) for m in spec.mu]
+    k = 2 * sum(map(abs, ims)) + 1
+    sums = [0]  # sums[mask] is the packed sum over mask
+    for m, im in zip(spec.mu, ims):
+        v = int(m.re * denom) * k + im
+        sums += [s + v for s in sums]
+    return [mask for mask in range(1, len(sums) - 1) if not sums[mask]]

@@ -13,6 +13,7 @@ from math import factorial
 import pytest
 
 import multfiber as mf
+from multfiber.counting import mask_counts
 
 
 @contextmanager
@@ -142,8 +143,9 @@ def test_criterion_4_triple_agreement_on_1000_spectra():
             # fiber_report raises on route disagreement, broken divisibility
             # or out-of-bounds counts; restate the key invariants explicitly
             report = mf.fiber_report(spec)
-            assert report.engines["subspectra"] == report.engines["refinement"]
-            assert report.engines["refinement"] == report.engines["closed_form"]
+            by_engine = mask_counts(spec)[0]
+            assert by_engine["subspectra"] == by_engine["refinement"]
+            assert by_engine["refinement"] == by_engine["closed_form"] == report.s_d
             assert 0 <= report.s_d <= factorial(spec.d - 2)
             assert report.e_I0 == (spec.d - 1) * report.s_d
             order = 1

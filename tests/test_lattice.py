@@ -7,13 +7,17 @@ via direct recursive set-partition enumeration with a per-block filter.
 
 import itertools
 import time
+from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import multfiber.lattice
 from multfiber.counting import fiber_report
 from multfiber.errors import DimensionCapError, GroundSetMismatchError
-from multfiber.exactnum import ZERO
+from multfiber.exactnum import ZERO, GaussianRational
 from multfiber.lattice import (
     BlockPartition,
     enumerate_lattice,
@@ -23,7 +27,7 @@ from multfiber.lattice import (
     zero_sum_subsets,
 )
 from multfiber.spectrum import from_shifts, generate
-from reference import shape_partitions
+from reference import doubling_zero_sum_subsets, shape_partitions
 
 
 def brute_zero_sum_subsets(spec):
@@ -101,6 +105,34 @@ def test_zero_sum_subsets_match_brute_force():
         assert zero_sum_subsets(spec) == brute_zero_sum_subsets(spec)
 
 
+# small real and imaginary parts repeat often, so lattices are rich
+scan_part = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+scan_shift = st.builds(GaussianRational, scan_part, scan_part | st.just(0)).filter(bool)
+
+
+@st.composite
+def scan_spectra(draw):
+    """d <= 16 in shuffled order: each shift with its negative, or any closed by the last."""
+    if draw(st.booleans()):
+        half = draw(st.lists(scan_shift, min_size=1, max_size=8))
+        shifts = half + [-v for v in half]
+    else:
+        shifts = draw(st.lists(scan_shift, min_size=1, max_size=15))
+        last = -sum(shifts, ZERO)
+        assume(last)
+        shifts.append(last)
+    return from_shifts(draw(st.permutations(shifts)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_spectra())
+@example(from_shifts([1, -1]))  # d = 2: the low half holds one index
+@example(from_shifts([1, 2, -3]))  # d = 3: the halves differ in size
+@example(from_shifts(["1+1i", "-1", "-1i"]))
+def test_zero_sum_subsets_match_doubling_scan(spec):
+    assert zero_sum_subsets(spec) == doubling_zero_sum_subsets(spec)
+
+
 def test_zero_sum_subsets_have_size_at_least_two():
     for seed in range(5):
         spec = generate([2, 2, 3], seed=seed)
@@ -108,10 +140,26 @@ def test_zero_sum_subsets_have_size_at_least_two():
 
 
 def test_dimension_cap(monkeypatch):
-    # the scan takes any d up to 22, with no override
+    # the scan takes any d up to 38, with no override
     assert zero_sum_subsets(from_shifts([1] * 16 + [-16])) == []
     with pytest.raises(DimensionCapError):
-        zero_sum_subsets(from_shifts([1] * 22 + [-22]))
+        zero_sum_subsets(from_shifts([1] * 38 + [-38]))
+    # distinct powers of two: all 2^19 sums of each half differ
+    report = fiber_report(from_shifts([2**i for i in range(37)] + [1 - 2**37]))
+    assert (report.zero_sum_subsets, report.s_d) == (0, factorial(36))
+    # +-1 at d=30 has C(30, 15) - 2 zero-sum subsets: refused from the
+    # half-sum buckets, before the join builds a mask list (over 1 GB)
+    def no_join(*args):
+        raise AssertionError("the join started building masks")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(multfiber.lattice, "compress", no_join)
+        spec = from_shifts([1, -1] * 15)
+        for run in (fiber_report, enumerate_lattice):
+            start = time.perf_counter()
+            with pytest.raises(DimensionCapError, match="155117518 zero-sum subsets"):
+                run(spec)
+            assert time.perf_counter() - start < 1
     # +-1 at d=18 has about 3.9e8 block pairs: refused before the work
     spec = from_shifts([1, -1] * 9)
     for run in (fiber_report, enumerate_lattice):
