@@ -12,12 +12,11 @@ precision survives JSON.  Exit codes: 0 success, 1 invalid input,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
 from . import counting, polyfam
-from .errors import DimensionCapError, InputError, InternalCheckError, SpectrumFormatError
+from .errors import InputError, InternalCheckError, SpectrumFormatError
 from .lattice import enumerate_lattice
 from .spectrum import generate, scalars_from_obj, spectrum_from_obj, spectrum_to_obj
 
@@ -107,23 +106,15 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_polyfam(args) -> int:
-    # the table holds sum over l <= max_l of l(l+1)/2 big-integer coefficients
-    if args.max_l > polyfam.MAX_TABLE_L:
-        raise DimensionCapError(
-            f"table up to l = {args.max_l}, above the limit {polyfam.MAX_TABLE_L}"
-        )
-    table = []
-    for l in range(2, args.max_l + 1):
-        for k in range(1, l + 1):
-            poly = polyfam.collapsed_poly(l, k)
-            table.append(
-                {
-                    "l": l,
-                    "k": k,
-                    "coefficients": [str(c) for c in poly.coefficients],
-                    "text": poly.text(),
-                }
-            )
+    table = [
+        {
+            "l": l,
+            "k": k,
+            "coefficients": [str(c) for c in poly.coefficients],
+            "text": poly.text(),
+        }
+        for l, k, poly in polyfam.collapsed_table(args.max_l)
+    ]
     _emit({"max_l": args.max_l, "table": table}, args.output)
     return 0
 
@@ -143,16 +134,8 @@ def _cmd_identity_check(args) -> int:
         total = polyfam.vanishing_sum(_parse_sizes(args.sizes))
         _emit({"sum": str(total), "ok": total == 0}, args.output)
         return 0 if total == 0 else 2
-    polyfam.require_sweep_within_limit(args.max_l, args.max_size)
-    failures = []
-    checked = 0
-    # with max_size < 2 there is no size vector, so no l is visited
-    for l in range(2, args.max_l + 1 if args.max_size >= 2 else 2):
-        for sizes in itertools.product(range(2, args.max_size + 1), repeat=l):
-            checked += 1
-            total = polyfam.vanishing_sum(sizes)
-            if total != 0:
-                failures.append({"sizes": list(sizes), "sum": str(total)})
+    checked, failures = polyfam.vanishing_sweep(args.max_l, args.max_size)
+    failures = [{"sizes": list(sizes), "sum": str(total)} for sizes, total in failures]
     _emit({"checked": checked, "failures": failures, "ok": not failures}, args.output)
     return 0 if not failures else 2
 

@@ -62,10 +62,10 @@ class DimensionCapError(InputError):
     half-sum lists of the meet-in-the-middle scan), block pairs
     (``lattice.MAX_PAIR_WORK``, checked by the scan from its count of
     zero-sum subsets and again per lowest bit), partitions the lattice builds
-    (``lattice.MAX_PARTITIONS``), blocks of a coarsening sum's 2^l-subset
-    pass (``polyfam.MAX_BLOCKS``), a sweep's measure, the set partitions of
-    its size vectors (``polyfam.MAX_SWEEP``), the polynomial table's block
-    count (``polyfam.MAX_TABLE_L``) and the solver's degree cap.
+    (``lattice.MAX_PARTITIONS``), the states of a size vector's or a whole
+    sweep's coarsening passes, 3^l per vector of l blocks
+    (``polyfam.MAX_STATES``), the polynomial table's block count
+    (``polyfam.MAX_TABLE_L``) and the solver's degree cap.
     """
 
 

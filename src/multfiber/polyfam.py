@@ -10,7 +10,8 @@ by collapsing (``collapsed_poly``, built from a two-term recurrence), and
 the evaluated value (``coarsening_value``).  On top of it sits the signed
 vanishing sum over all coarsenings, which must be identically zero for
 every size vector; this identity is the engine behind the
-closed-form count.
+closed-form count; ``vanishing_sweep`` checks it on size multisets.  A
+vector of l blocks costs 3^l states; ``MAX_STATES`` bounds one vector or a sweep.
 
 Everything here is exact integer arithmetic over abstract partitions; no
 spectrum is needed.  Outputs are immutable; the polynomial cache is a
@@ -22,13 +23,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import DimensionCapError
 from .lattice import subset_sums
 
-MAX_BLOCKS = 11  # the row pass joins (3^11 - 1)/2 = 88,573 block pairs: about 0.1 s, 1 MB
-MAX_SWEEP = 3_000_000  # sweep measure: max_l 7, max_size 4 is 2.08M (2.5 s)
+# A size vector of l blocks costs 3^l states: its row pass joins (3^l - 1)/2
+# block pairs over 2^l subsets, about 0.6-1 us per state, so 2-3 s at the limit.
+MAX_STATES = 3_000_000
 MAX_TABLE_L = 150  # polyfam table: 574k coefficients for l <= 150, about 4 s and 440 MB
 
 
@@ -113,10 +116,10 @@ def _coarsening_row(xs: tuple[int, ...]) -> list[int]:
     One ascending pass over the 2^l subsets S of the blocks: a k-block
     partition of S is the block J holding the lowest element of S with a
     (k-1)-block partition of S - J (smaller, visited earlier), so each is
-    counted once.  Refuses more than ``MAX_BLOCKS`` blocks.
+    counted once.  Refuses 3^l above ``MAX_STATES`` (14 blocks or more).
     """
-    if len(xs) > MAX_BLOCKS:
-        raise DimensionCapError(f"{len(xs)} blocks above the block limit {MAX_BLOCKS}")
+    if 3 ** len(xs) > MAX_STATES:
+        raise DimensionCapError(f"3^{len(xs)} states above the state limit {MAX_STATES}")
     sums = subset_sums(xs)  # sums[J] is the sum of xs over J
     weight = [0] + [(1 - sums[j]) ** (j.bit_count() - 1) for j in range(1, len(sums))]
     rows = [[1]]  # rows[S][k] sums the k-block partitions of S; one of the empty set
@@ -202,21 +205,32 @@ def vanishing_sum(block_sizes) -> int:
     return total
 
 
-def require_sweep_within_limit(max_l: int, max_size: int) -> None:
-    """Refuse, before it starts, a sweep over block counts 2..max_l and sizes
-    2..max_size whose measure, the sum over l of (max_size - 1)^l * Bell(l)
-    set partitions, is above ``MAX_SWEEP``; the sweep itself lists none."""
-    if max_size < 2:
-        return  # no size vectors
-    bells, work = [1, 1], 0  # Bell(0), Bell(1), ...
-    for l in range(2, max_l + 1):
-        bells.append(sum(comb(l - 1, j) * b for j, b in enumerate(bells)))
-        work += (max_size - 1) ** l * bells[l]
-        if work > MAX_SWEEP:
-            raise DimensionCapError(
-                f"sweep over at least {work} set partitions, "
-                f"above the sweep limit {MAX_SWEEP}"
-            )
+def vanishing_sweep(max_l: int, max_size: int) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """``vanishing_sum`` on every multiset of 2..max_l sizes in 2..max_size (the
+    sum is symmetric): the vectors checked and the (sizes, sum) of each nonzero
+    sum.  Refused before any is checked when their states, the sum over l of
+    C(l + max_size - 2, l) * 3^l, pass ``MAX_STATES``."""
+    ls = range(2, max_l + 1 if max_size >= 2 else 2)  # max_size < 2: no vector
+    states = 0
+    for l in ls:  # 3^l >= 9 grows, so this stops by l = 14
+        states += comb(l + max_size - 2, l) * 3**l
+        if states > MAX_STATES:
+            raise DimensionCapError(f"sweep of {states} states above the state limit {MAX_STATES}")
+    checked, failures = 0, []
+    for l in ls:
+        for sizes in combinations_with_replacement(range(2, max_size + 1), l):
+            checked += 1
+            if total := vanishing_sum(sizes):
+                failures.append((sizes, total))
+    return checked, failures
+
+
+def collapsed_table(max_l: int) -> list[tuple[int, int, IntPolynomial]]:
+    """(l, k, ``collapsed_poly(l, k)``) for 1 <= k <= l <= max_l: l(l+1)/2 big-integer
+    coefficients per l, so max_l above ``MAX_TABLE_L`` is refused before any is built."""
+    if max_l > MAX_TABLE_L:
+        raise DimensionCapError(f"table up to l = {max_l}, above the limit {MAX_TABLE_L}")
+    return [(l, k, collapsed_poly(l, k)) for l in range(2, max_l + 1) for k in range(1, l + 1)]
 
 
 def restriction_identity_holds(l: int, k: int, xs) -> bool:

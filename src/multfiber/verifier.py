@@ -21,7 +21,8 @@ The solver runs Newton from batches of random starts (uniform in a disc
 per coordinate, then projected onto the zero-sum hyperplane, which
 removes one unstable direction).  A start takes full Newton steps and
 stops, keeping its last iterate, at the first step that fails to lower its
-max-norm residual.  A batch's converged rows are checked together: a row
+max-norm residual, or when its Jacobian is exactly singular and it has no
+step.  A batch's converged rows are checked together: a row
 with colliding coordinates is dropped, and one within the dedup tolerance
 of an accepted tuple or of an earlier non-colliding row of its batch is a
 duplicate.  The accepted tuples stay one (n, d) array, with a residual per
@@ -175,7 +176,7 @@ class SigmaSystem:
 
 
 def _newton_batch(system: SigmaSystem, Z: np.ndarray) -> np.ndarray:
-    """Newton on each row of Z in place until a step fails to lower its residual."""
+    """Newton on each row of Z in place until it has no step or one fails to lower its residual."""
     F = system.residual(Z)
     norms = np.abs(F).max(axis=1)
     idx = np.flatnonzero(np.isfinite(norms))
@@ -183,12 +184,13 @@ def _newton_batch(system: SigmaSystem, Z: np.ndarray) -> np.ndarray:
         if idx.size == 0:
             break
         J = system.jacobian(Z[idx])
-        rhs = -F[idx][:, :, None]
         try:
-            step = np.linalg.solve(J, rhs)[:, :, 0]
-        except np.linalg.LinAlgError:
-            step = (np.linalg.pinv(J) @ rhs)[:, :, 0]
-        trial = Z[idx] + step
+            step = np.linalg.solve(J, -F[idx][:, :, None])
+        except np.linalg.LinAlgError:  # solve the rows whose Jacobian has no zero pivot
+            solvable = np.linalg.slogdet(J)[0] != 0
+            idx, J = idx[solvable], J[solvable]
+            step = np.linalg.solve(J, -F[idx][:, :, None])
+        trial = Z[idx] + step[:, :, 0]
         trial_F = system.residual(trial)
         trial_norms = np.abs(trial_F).max(axis=1)
         better = trial_norms < norms[idx]

@@ -13,18 +13,19 @@ from functools import lru_cache
 from math import lcm
 
 from multfiber.errors import DimensionCapError
-from multfiber.polyfam import MAX_BLOCKS
+
+MAX_LISTED_BLOCKS = 11  # Bell(11) = 678,570 partitions: about 2 s to list
 
 
 @lru_cache(maxsize=None)
 def _set_partitions(l: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All partitions of {0,...,l-1}, blocks ordered by first element.
 
-    There are Bell(l) of them, so l above ``MAX_BLOCKS`` raises
+    There are Bell(l) of them, so l above ``MAX_LISTED_BLOCKS`` raises
     ``DimensionCapError`` before any is built.
     """
-    if l > MAX_BLOCKS:
-        raise DimensionCapError(f"{l} blocks above the block limit {MAX_BLOCKS}")
+    if l > MAX_LISTED_BLOCKS:
+        raise DimensionCapError(f"{l} blocks above the block limit {MAX_LISTED_BLOCKS}")
     results: list[tuple[tuple[int, ...], ...]] = []
     blocks: list[list[int]] = []
 

@@ -113,7 +113,7 @@ def test_identity_check_single_and_sweep():
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] is True
-    assert doc["checked"] == 2**2 + 2**3  # sizes in {2,3}, l in {2,3}
+    assert doc["checked"] == 3 + 4  # size multisets from {2,3}, l in {2,3}
     assert doc["failures"] == []
 
 
@@ -122,15 +122,15 @@ def test_identity_check_bad_sizes():
     assert code == 1 and err.strip()
     code, _, _ = run_cli("identity-check", "--sizes", "4")
     assert code == 1
-    # more than MAX_BLOCKS = 11 blocks: refused before the row pass starts
-    code, _, err = run_cli("identity-check", "--sizes", ",".join(["2"] * 12))
-    assert code == 1 and "block limit" in err
+    # 3^14 states pass MAX_STATES: refused before the row pass starts
+    code, _, err = run_cli("identity-check", "--sizes", ",".join(["2"] * 14))
+    assert code == 1 and "state limit" in err
 
 
 def test_identity_check_sweep_limit():
-    # 4.5e8 set partitions (hours of work): refused before the sweep starts
-    code, _, err = run_cli("identity-check", "--max-l", "9", "--max-size", "4")
-    assert code == 1 and "sweep limit 3000000" in err
+    # 5.4e6 states: refused before the sweep starts
+    code, _, err = run_cli("identity-check", "--max-l", "10", "--max-size", "4")
+    assert code == 1 and "state limit 3000000" in err
 
 
 def test_identity_check_sweep_without_size_vectors_is_empty():

@@ -3,11 +3,13 @@
 import itertools
 import time
 import tracemalloc
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from multfiber import polyfam
 from multfiber.errors import DimensionCapError
 from multfiber.polyfam import (
     IntPolynomial,
@@ -16,6 +18,7 @@ from multfiber.polyfam import (
     collapsed_poly,
     restriction_identity_holds,
     vanishing_sum,
+    vanishing_sweep,
 )
 from reference import enumerated_coarsening_sum, shape_partitions
 
@@ -170,8 +173,8 @@ def test_vanishing_sum_examples():
 def test_vanishing_sum_checks_blocks_before_huge_sizes():
     start = time.perf_counter()
     assert vanishing_sum((2, 10**6)) == 0
-    with pytest.raises(DimensionCapError, match="block limit"):
-        vanishing_sum((10**6,) * 12)
+    with pytest.raises(DimensionCapError, match="state limit"):
+        vanishing_sum((10**6,) * 14)
     assert time.perf_counter() - start < 1.0
 
 
@@ -191,6 +194,60 @@ def test_vanishing_sum_sweep_small():
     for l in range(2, 6):
         for sizes in itertools.product(range(2, 5), repeat=l):
             assert vanishing_sum(sizes) == 0
+
+
+def _no_row_pass(xs):
+    raise AssertionError(f"row pass over {len(xs)} blocks started")
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda: vanishing_sweep(2, 1225),  # 749,700 vectors of 9 states: 6.75e6
+        lambda: vanishing_sweep(10, 4),  # 5.4e6 states
+        lambda: vanishing_sum((2,) * 14),  # 3^14 = 4.8e6 states
+    ],
+)
+def test_refusals_come_before_any_row_pass(monkeypatch, refused):
+    # every row pass starts from the subset sums of its blocks
+    monkeypatch.setattr(polyfam, "subset_sums", _no_row_pass)
+    with pytest.raises(DimensionCapError, match="state limit 3000000"):
+        refused()
+
+
+@pytest.mark.parametrize("max_l, max_size", [(9, 4), (3, 85)])  # 1.48e6 and 2.8e6 states
+def test_sweeps_just_inside_the_state_limit_are_admitted(monkeypatch, max_l, max_size):
+    seen = []
+    monkeypatch.setattr(polyfam, "vanishing_sum", lambda sizes: seen.append(sizes) or 0)
+    checked, failures = vanishing_sweep(max_l, max_size)
+    assert checked == len(seen) == sum(comb(l + max_size - 2, l) for l in range(2, max_l + 1))
+    assert failures == []
+
+
+@pytest.mark.parametrize("max_l, max_size", [(2, 2), (3, 3), (5, 4), (7, 4), (4, 6), (6, 1)])
+def test_sweep_checks_each_size_multiset_once(monkeypatch, max_l, max_size):
+    seen = []
+
+    def recorded(sizes):
+        seen.append(sizes)
+        return vanishing_sum(sizes)
+
+    monkeypatch.setattr(polyfam, "vanishing_sum", recorded)
+    checked, failures = vanishing_sweep(max_l, max_size)
+    assert checked == len(seen) == sum(comb(l + max_size - 2, l) for l in range(2, max_l + 1))
+    assert failures == []
+    assert set(seen) == {
+        tuple(sorted(v))
+        for l in range(2, max_l + 1)
+        for v in itertools.product(range(2, max_size + 1), repeat=l)
+    }
+
+
+def test_sweep_reports_each_nonzero_sum(monkeypatch):
+    monkeypatch.setattr(polyfam, "vanishing_sum", lambda sizes: sizes.count(3))
+    checked, failures = vanishing_sweep(3, 3)
+    assert checked == 7
+    assert failures == [((2, 3), 1), ((3, 3), 2), ((2, 2, 3), 1), ((2, 3, 3), 2), ((3, 3, 3), 3)]
 
 
 def test_restriction_identity_examples():

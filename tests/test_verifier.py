@@ -383,6 +383,23 @@ def test_zero_fiber_starts_stop_after_few_newton_steps(monkeypatch):
     assert rows[0] / report.starts <= 10
 
 
+def test_singular_row_stops_at_its_start_and_the_others_run_on(monkeypatch):
+    # at zeta = 0 the Jacobian rows k >= 2 vanish, so that row has no Newton
+    # step; the other rows of its batch must run as they would alone
+    def no_pinv(*args, **kwargs):
+        raise AssertionError("least-squares step taken")
+
+    monkeypatch.setattr(np.linalg, "pinv", no_pinv)
+    system = SigmaSystem(from_shifts([1, -1, 1, -1]))
+    Z = verifier._disc_starts(random.Random(3), 8, 4, 4.0)
+    Z[0] = 0
+    alone = Z[1:].copy()
+    norms = verifier._newton_batch(system, Z)
+    assert norms[0] == 1.0 and not Z[0].any()  # its starting residual and iterate
+    assert np.array_equal(norms[1:], verifier._newton_batch(system, alone))
+    assert np.array_equal(Z[1:], alone)
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize(
     "shifts",
