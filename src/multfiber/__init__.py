@@ -31,21 +31,17 @@ from .counting import (
     FiberReport,
     class_gcds,
     conjugacy_count,
-    expansion_in_factorial_weights,
     factorial_weight,
     fiber_report,
     fiber_size,
     fiber_size_closed_form,
     monic_centered_count,
-    weight_from_refinements,
-    weight_from_subspectra,
 )
 from .polyfam import (
     IntPolynomial,
     coarsening_sum,
     coarsening_value,
     collapsed_poly,
-    restriction_identity_holds,
     vanishing_sum,
 )
 
@@ -101,15 +97,11 @@ __all__ = [
     "conjugacy_count",
     "class_gcds",
     "factorial_weight",
-    "weight_from_subspectra",
-    "weight_from_refinements",
-    "expansion_in_factorial_weights",
     "IntPolynomial",
     "coarsening_sum",
     "coarsening_value",
     "collapsed_poly",
     "vanishing_sum",
-    "restriction_identity_holds",
     "SolverConfig",
     "RootTuple",
     "VerificationReport",

@@ -34,19 +34,23 @@ class _Parser(argparse.ArgumentParser):
 def _read_json(source: str):
     """Inline JSON (starts with '{' or '['), '-' for stdin, else a path."""
     text = source
-    if source == "-":
-        text = sys.stdin.read()
-    elif not source.lstrip().startswith(("{", "[")):
-        try:
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        elif not source.lstrip().startswith(("{", "[")):
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise _CliError(f"cannot read {source}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliError(f"cannot read {source}: {exc}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _CliError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        )
+    except ValueError:  # an integer past the int-to-string digit limit
+        raise _CliError(
+            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
         )
 
 
@@ -144,6 +148,7 @@ def _cmd_verify(args) -> int:
     from .verifier import SolverConfig, verify_spectrum  # loads numpy
 
     spec = _load_spectrum(args.input)
+    written = spectrum_to_obj(spec)  # refuses an unwritable spectrum before the solve
     overrides = {
         name: getattr(args, name)
         for name in ("eps_mult", "budget_factor", "seed", "max_degree")
@@ -152,7 +157,7 @@ def _cmd_verify(args) -> int:
     report = verify_spectrum(spec, SolverConfig(**overrides))
     _emit(
         {
-            "spectrum": spectrum_to_obj(spec),
+            "spectrum": written,
             "d": report.d,
             "found_tuples": str(report.found_tuples),
             "expected_tuples": str(report.expected_tuples),

@@ -23,11 +23,11 @@ their agreement, checked at every mask, guards the span arithmetic, not
 the sums.  The closed form uses block sizes only, never a recursive
 weight, so its agreement with the recursions is the independent check.
 
-The partition-based functions (``fiber_size`` with either engine,
-``fiber_size_closed_form``, ``refinement_weights``, ``weight_from_*``)
-enumerate the lattice and recurse into restricted sub-spectra or strict
-refinements; they are the slow reference the tests hold the mask pass to.
-They share one refinement walk (``Lattice.strict_refinements`` with the
+The partition-based routes (``fiber_size`` with either engine and
+``fiber_size_closed_form``) enumerate the lattice and recurse into
+restricted sub-spectra or strict refinements.  They are the slow reference
+the tests hold the mask pass to, and they share one refinement walk
+(``refinement_weights``, over ``Lattice.strict_refinements`` with the
 falling-span product ``_refinement_span``) and one sub-spectrum weight
 (``_subspectra_weight``).
 
@@ -38,8 +38,8 @@ conjugacy-class count only when every class gcd is 1 (the remaining case
 needs machinery that is out of scope, so it is reported as absent).
 
 Everything here is a pure function of its arguments on
-arbitrary-precision integers; memo dictionaries are per call unless the
-caller shares one, so concurrent evaluation is safe with per-thread memos.
+arbitrary-precision integers; the sub-spectrum memo lives for one call, so
+concurrent evaluation is safe.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .errors import (
     DivisibilityError,
     EngineDisagreementError,
     InvariantViolationError,
-    PartitionNotInLatticeError,
 )
 from .lattice import (
     BlockPartition,
@@ -84,6 +83,12 @@ def _exact_quotient(total: int, divisor: int, what: str) -> int:
     return total // divisor
 
 
+# --- the partition references ------------------------------------------------
+# Off the count and verify path (``fiber_report`` runs ``mask_counts``), these
+# stay in the library only because the traced mode of ``perfbench/worker.py``
+# (``traced_count``, ``_exact_count``) times ``fiber_size`` with both engines
+# and ``fiber_size_closed_form`` on the lattice of ``enumerate_lattice``.
+
 def factorial_weight(part: BlockPartition) -> int:
     """prod over blocks of (size - 1)!; the leading term of a weight."""
     w = 1
@@ -92,20 +97,11 @@ def factorial_weight(part: BlockPartition) -> int:
     return w
 
 
-# --- the two recursive weight routes -----------------------------------------
-
-def _require_proper(part: BlockPartition, lat: Lattice) -> None:
-    if part not in lat.proper:
-        raise PartitionNotInLatticeError(f"{part} not a proper lattice element")
-
-
 def _subspectra_weight(spec: Spectrum, part: BlockPartition, memo: dict) -> int:
     """prod over blocks C of (|C|-1) * count of the sub-spectrum on C."""
     w = 1
     for block in part.blocks:
-        w *= (block.bit_count() - 1) * fiber_size(
-            spec.restrict(block), None, "subspectra", memo
-        )
+        w *= (block.bit_count() - 1) * _fiber_size(spec.restrict(block), None, "subspectra", memo)
     return w
 
 
@@ -115,14 +111,6 @@ def _refinement_span(part: BlockPartition, finer: BlockPartition) -> int:
     for block in part.blocks:
         span *= falling_span(block.bit_count(), inner_block_count(block, finer))
     return span
-
-
-def weight_from_subspectra(
-    spec: Spectrum, part: BlockPartition, lat: Lattice | None = None
-) -> int:
-    """Partition weight as prod over blocks of (size-1) * subcount(block)."""
-    _require_proper(part, lat if lat is not None else enumerate_lattice(spec))
-    return _subspectra_weight(spec, part, {})
 
 
 def refinement_weights(lat: Lattice) -> dict[BlockPartition, int]:
@@ -140,45 +128,30 @@ def refinement_weights(lat: Lattice) -> dict[BlockPartition, int]:
     return weights
 
 
-def weight_from_refinements(
-    part: BlockPartition, lat: Lattice
-) -> int:
-    """Single partition weight via the refinement recursion."""
-    _require_proper(part, lat)
-    return refinement_weights(lat)[part]
-
-
-# --- fiber size, three routes --------------------------------------------------
-
-def fiber_size(
-    spec: Spectrum,
-    lat: Lattice | None = None,
-    engine: str = "subspectra",
-    memo: dict | None = None,
-) -> int:
+def fiber_size(spec: Spectrum, lat: Lattice | None = None, engine: str = "subspectra") -> int:
     """Fiber cardinality with multiplicity: (d-2)! minus weighted lattice terms.
 
-    ``memo`` may be shared across calls to amortize sub-spectrum counts; keys
-    include the engine so sharing one dict across engines cannot leak results
-    between routes.
+    The ``subspectra`` engine counts each restricted sub-spectrum once per call.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    memo = {} if memo is None else memo
-    key = (engine, spec.shift_key())
-    if key in memo:
-        return memo[key]
-    d = spec.d
-    lat = lat if lat is not None else enumerate_lattice(spec)
-    if engine == "refinement":
-        weights = refinement_weights(lat)
-    else:
-        weights = {part: _subspectra_weight(spec, part, memo) for part in lat.proper}
-    total = factorial(d - 2) - sum(
-        weights[part] * rising_span(d, part.block_count) for part in lat.proper
-    )
-    memo[key] = total
-    return total
+    return _fiber_size(spec, lat, engine, {})
+
+
+def _fiber_size(spec: Spectrum, lat: Lattice | None, engine: str, memo: dict) -> int:
+    """``fiber_size``; ``memo`` maps each shift multiset counted so far to its count."""
+    key = spec.shift_key()
+    if key not in memo:
+        d = spec.d
+        lat = lat if lat is not None else enumerate_lattice(spec)
+        if engine == "refinement":
+            weights = refinement_weights(lat)
+        else:
+            weights = {part: _subspectra_weight(spec, part, memo) for part in lat.proper}
+        memo[key] = factorial(d - 2) - sum(
+            weights[part] * rising_span(d, part.block_count) for part in lat.proper
+        )
+    return memo[key]
 
 
 def fiber_size_closed_form(spec: Spectrum, lat: Lattice | None = None) -> int:
@@ -253,33 +226,6 @@ def conjugacy_count(
     if size is None and all(g == 1 for g in class_gcds(classes.sizes)):
         size = fiber_report(spec).s_d
     return _conjugacy(size, classes.sizes)
-
-
-# --- symbolic expansion in factorial weights (test instrumentation) -------------
-
-def expansion_in_factorial_weights(lat: Lattice) -> dict[BlockPartition, int]:
-    """Coefficients of the fiber size in the factorial-weight basis.
-
-    Expanding every partition weight through the refinement recursion and
-    substituting into the fiber-size formula writes the count as
-    (d-2)! + sum over proper partitions of coeff * factorial_weight; this
-    returns the coefficient map.  Used by regression tests only.
-    """
-    d = lat.d
-    expansions: dict[BlockPartition, dict[BlockPartition, int]] = {}
-    for part in sorted(lat.proper, key=lambda p: -p.block_count):
-        combo = {part: 1}
-        for finer in lat.strict_refinements(part):
-            span = _refinement_span(part, finer)
-            for basis, coeff in expansions[finer].items():
-                combo[basis] = combo.get(basis, 0) - span * coeff
-        expansions[part] = combo
-    coeffs: dict[BlockPartition, int] = {}
-    for part in lat.proper:
-        span = rising_span(d, part.block_count)
-        for basis, coeff in expansions[part].items():
-            coeffs[basis] = coeffs.get(basis, 0) - span * coeff
-    return coeffs
 
 
 # --- one pass over the zero-sum masks ---------------------------------------------

@@ -64,17 +64,14 @@ class DimensionCapError(InputError):
     zero-sum subsets and again per lowest bit), partitions the lattice builds
     (``lattice.MAX_PARTITIONS``), the states of a size vector's or a whole
     sweep's coarsening passes, 3^l per vector of l blocks
-    (``polyfam.MAX_STATES``), the polynomial table's block count
-    (``polyfam.MAX_TABLE_L``) and the solver's degree cap.
+    (``polyfam.MAX_STATES``), the block count l of ``collapsed_poly``,
+    ``coarsening_value`` and the polynomial table (``polyfam.MAX_TABLE_L``)
+    and the solver's degree cap.
     """
 
 
 class GroundSetMismatchError(InputError):
     """Partitions being compared do not cover the same ground set."""
-
-
-class PartitionNotInLatticeError(InputError):
-    """A block partition was passed that is not an element of the lattice."""
 
 
 # --- counting ----------------------------------------------------------------

@@ -32,7 +32,9 @@ from .lattice import subset_sums
 # A size vector of l blocks costs 3^l states: its row pass joins (3^l - 1)/2
 # block pairs over 2^l subsets, about 0.6-1 us per state, so 2-3 s at the limit.
 MAX_STATES = 3_000_000
-MAX_TABLE_L = 150  # polyfam table: 574k coefficients for l <= 150, about 4 s and 440 MB
+# Bounds l in collapsed_poly, whose recursion is l deep, and so coarsening_value and
+# the polyfam table: 574k coefficients for l <= 150, about 4 s and 440 MB.
+MAX_TABLE_L = 150
 
 
 @dataclass(frozen=True)
@@ -163,10 +165,13 @@ def collapsed_poly(l: int, k: int) -> IntPolynomial:
     Built from the recurrence  p(l+1, k) = p(l, k-1) - (Y - k) * p(l, k)
     with base row p(2, 1) = -(Y-1), p(2, 2) = 1, zero otherwise; the
     polynomial has degree l-k with leading sign (-1)^(l-k) for
-    1 <= k <= l, and is zero outside that range.
+    1 <= k <= l, and is zero outside that range.  The recursion is l deep,
+    so l above ``MAX_TABLE_L`` is refused before it starts.
     """
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
+    if l > MAX_TABLE_L:
+        raise DimensionCapError(f"l = {l} above the table limit {MAX_TABLE_L}")
     if k <= 0 or k >= l + 1:
         return IntPolynomial()
     if l == 2:
@@ -232,16 +237,3 @@ def collapsed_table(max_l: int) -> list[tuple[int, int, IntPolynomial]]:
         raise DimensionCapError(f"table up to l = {max_l}, above the limit {MAX_TABLE_L}")
     return [(l, k, collapsed_poly(l, k)) for l in range(2, max_l + 1) for k in range(1, l + 1)]
 
-
-def restriction_identity_holds(l: int, k: int, xs) -> bool:
-    """Check the one-variable restriction of the coarsening sum.
-
-    Appending a zero entry must satisfy
-    sum(l+1, k, xs||0) = sum(l, k-1, xs) - (sum(xs) - k) * sum(l, k, xs).
-    """
-    xs = tuple(xs)
-    if len(xs) != l:
-        raise ValueError(f"expected {l} values, got {len(xs)}")
-    left = coarsening_sum(l + 1, k, xs + (0,))
-    right = coarsening_sum(l, k - 1, xs) - (sum(xs) - k) * coarsening_sum(l, k, xs)
-    return left == right

@@ -10,6 +10,7 @@ derived from it on first use.  Instances are immutable and freely shareable.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -205,8 +206,18 @@ def generate(plan, *, seed: int = 0, exact: bool = False) -> Spectrum:
 # --- JSON document form -------------------------------------------------------
 
 def spectrum_to_obj(spec: Spectrum) -> dict:
-    """JSON-ready document: {"d": n, "lambda": ["p/q+r/si", ...]}."""
-    return {"d": spec.d, "lambda": [str(v) for v in spec.lam]}
+    """JSON-ready document: {"d": n, "lambda": ["p/q+r/si", ...]}.
+
+    A multiplier part with more digits than the interpreter writes out
+    raises ``SpectrumFormatError``.
+    """
+    try:
+        return {"d": spec.d, "lambda": [str(v) for v in spec.lam]}
+    except ValueError:  # only the int-to-string digit limit raises here
+        raise SpectrumFormatError(
+            f"a multiplier has more than {sys.get_int_max_str_digits()} digits,"
+            " the interpreter's limit for writing an integer"
+        ) from None
 
 
 def scalars_from_obj(values, what: str) -> list[GaussianRational]:

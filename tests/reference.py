@@ -7,12 +7,20 @@ against.
 
 ``multfiber.lattice.zero_sum_subsets`` joins the subset sums of two index
 halves.  The scan kept here builds the exact sums of all 2^d subsets.
+
+Only the tests evaluate the rest: the sub-spectrum weight of one lattice
+partition, the count's expansion in factorial weights over the refinement
+walk of ``multfiber.counting``, and the restriction identity of
+``multfiber.polyfam.coarsening_sum``.
 """
 
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
+from multfiber.counting import _refinement_span, fiber_size, rising_span
 from multfiber.errors import DimensionCapError
+from multfiber.lattice import BlockPartition, Lattice
+from multfiber.polyfam import coarsening_sum
 
 MAX_LISTED_BLOCKS = 11  # Bell(11) = 678,570 partitions: about 2 s to list
 
@@ -86,3 +94,47 @@ def doubling_zero_sum_subsets(spec) -> list[int]:
         v = int(m.re * denom) * k + im
         sums += [s + v for s in sums]
     return [mask for mask in range(1, len(sums) - 1) if not sums[mask]]
+
+
+def subspectra_weight(spec, part) -> int:
+    """prod over blocks C of (|C|-1) * ``fiber_size`` of the sub-spectrum on C."""
+    return prod((b.bit_count() - 1) * fiber_size(spec.restrict(b)) for b in part.blocks)
+
+
+def expansion_in_factorial_weights(lat: Lattice) -> dict[BlockPartition, int]:
+    """Coefficients of the fiber size in the factorial-weight basis.
+
+    Expanding every partition weight through the refinement recursion and
+    substituting into the fiber-size formula writes the count as
+    (d-2)! + sum over proper partitions of coeff * factorial_weight; this
+    returns the coefficient map.
+    """
+    d = lat.d
+    expansions: dict[BlockPartition, dict[BlockPartition, int]] = {}
+    for part in sorted(lat.proper, key=lambda p: -p.block_count):
+        combo = {part: 1}
+        for finer in lat.strict_refinements(part):
+            span = _refinement_span(part, finer)
+            for basis, coeff in expansions[finer].items():
+                combo[basis] = combo.get(basis, 0) - span * coeff
+        expansions[part] = combo
+    coeffs: dict[BlockPartition, int] = {}
+    for part in lat.proper:
+        span = rising_span(d, part.block_count)
+        for basis, coeff in expansions[part].items():
+            coeffs[basis] = coeffs.get(basis, 0) - span * coeff
+    return coeffs
+
+
+def restriction_identity_holds(l: int, k: int, xs) -> bool:
+    """Check the one-variable restriction of the coarsening sum.
+
+    Appending a zero entry must satisfy
+    sum(l+1, k, xs||0) = sum(l, k-1, xs) - (sum(xs) - k) * sum(l, k, xs).
+    """
+    xs = tuple(xs)
+    if len(xs) != l:
+        raise ValueError(f"expected {l} values, got {len(xs)}")
+    left = coarsening_sum(l + 1, k, xs + (0,))
+    right = coarsening_sum(l, k - 1, xs) - (sum(xs) - k) * coarsening_sum(l, k, xs)
+    return left == right

@@ -66,7 +66,10 @@ def test_invalid_input_exits_one():
         assert err.strip()
 
 
-def test_malformed_scalars_exit_one_without_traceback():
+def test_malformed_scalars_exit_one_without_traceback(tmp_path):
+    undecodable = tmp_path / "spectrum.json"
+    undecodable.write_bytes(b'{"mu":["1","-1"]}\xff')
+    huge = "9" * 3000  # mu = (A+i, -A-i, 1, -1): 1/(A+i) has a 6,000-digit denominator
     for bad in [
         '{"lambda":[null,"2"]}',
         '{"lambda":[["0"],"2"]}',
@@ -74,9 +77,21 @@ def test_malformed_scalars_exit_one_without_traceback():
         '{"mu":[true,"-1"]}',
         '{"lambda":[1e400,"2"]}',
         '{"d":"2","lambda":["0","2"]}',
+        str(undecodable),
+        '{"mu":[' + "1" * 5000 + ',"-1"]}',
+        f'{{"mu":["{huge}+1i","-{huge}-1i","1","-1"]}}',
     ]:
         code, _, err = run_cli("count", bad)
         assert code == 1, bad
+        assert err.startswith("error:") and "Traceback" not in err, err
+    # every command that writes the unwritable spectrum refuses it
+    for args in [
+        ("lattice", bad),
+        ("verify", bad),
+        ("gen", "--plan", f'[["{huge}+1i","-{huge}-1i"],["1","-1"]]'),
+    ]:
+        code, _, err = run_cli(*args)
+        assert code == 1, args[0]
         assert err.startswith("error:") and "Traceback" not in err, err
 
 

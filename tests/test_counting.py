@@ -6,17 +6,14 @@ import sys
 from math import factorial
 from pathlib import Path
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import multfiber.counting
 import multfiber.spectrum
 from multfiber.counting import (
-    ENGINES,
     class_gcds,
     conjugacy_count,
-    expansion_in_factorial_weights,
     factorial_weight,
     fiber_report,
     fiber_size,
@@ -24,10 +21,7 @@ from multfiber.counting import (
     mask_counts,
     monic_centered_count,
     refinement_weights,
-    weight_from_refinements,
-    weight_from_subspectra,
 )
-from multfiber.errors import PartitionNotInLatticeError
 from multfiber.exactnum import ZERO, GaussianRational
 from multfiber.lattice import BlockPartition, enumerate_lattice
 from multfiber.spectrum import (
@@ -37,6 +31,7 @@ from multfiber.spectrum import (
     validate,
     value_classes,
 )
+from reference import expansion_in_factorial_weights, subspectra_weight
 
 
 def all_routes(spec, lat=None):
@@ -88,8 +83,8 @@ def test_weights_both_routes_on_hand_example():
     spec = from_shifts([1, -1, 2, -2])
     lat = enumerate_lattice(spec)
     part = BlockPartition((0b0011, 0b1100))
-    assert weight_from_subspectra(spec, part, lat) == 1
-    assert weight_from_refinements(part, lat) == 1
+    assert subspectra_weight(spec, part) == 1
+    assert refinement_weights(lat)[part] == 1
 
 
 def test_weight_size_two_three_blocks_is_product_of_sizes_minus_one():
@@ -100,35 +95,23 @@ def test_weight_size_two_three_blocks_is_product_of_sizes_minus_one():
     expected = 1
     for n in maximal.sizes:
         expected *= n - 1
-    assert weight_from_subspectra(spec, maximal, lat) == expected
-    assert weight_from_refinements(maximal, lat) == expected
+    assert subspectra_weight(spec, maximal) == expected
+    assert refinement_weights(lat)[maximal] == expected
 
 
 def test_weight_of_maximal_partition_is_factorial_weight():
     spec = generate([2, 2, 4], seed=5, exact=True)
     lat = enumerate_lattice(spec)
     maximal = max(lat.partitions, key=lambda p: p.block_count)
-    assert weight_from_refinements(maximal, lat) == factorial_weight(maximal)
+    assert refinement_weights(lat)[maximal] == factorial_weight(maximal)
 
 
 def test_weight_without_strict_refinement():
     spec = from_shifts([1, -1, 1, -1])
     lat = enumerate_lattice(spec)
     part = BlockPartition((0b0011, 0b1100))
-    assert weight_from_refinements(part, lat) == 1
-    assert weight_from_subspectra(spec, part, lat) == 1
-
-
-def test_partition_not_in_lattice():
-    spec = from_shifts([1, -1, 2, -2])
-    lat = enumerate_lattice(spec)
-    bogus = BlockPartition((0b0101, 0b1010))
-    with pytest.raises(PartitionNotInLatticeError):
-        weight_from_subspectra(spec, bogus, lat)
-    with pytest.raises(PartitionNotInLatticeError):
-        weight_from_refinements(bogus, lat)
-    with pytest.raises(PartitionNotInLatticeError):
-        weight_from_subspectra(spec, lat.trivial, lat)
+    assert refinement_weights(lat)[part] == 1
+    assert subspectra_weight(spec, part) == 1
 
 
 def test_discrete_counts_on_fixtures():
@@ -198,15 +181,6 @@ def test_counts_are_permutation_invariant():
     assert all_routes(spec) == all_routes(permuted)
     assert monic_centered_count(spec) == monic_centered_count(permuted)
     assert conjugacy_count(spec) == conjugacy_count(permuted)
-
-
-def test_shared_memo_cannot_leak_between_engines():
-    spec = from_shifts([1, -1, 2, -2])
-    memo = {}
-    for engine in ENGINES:
-        assert fiber_size(spec, engine=engine, memo=memo) == 1
-    # both engines stored their own entries
-    assert {k[0] for k in memo} == set(ENGINES)
 
 
 def test_mc_is_degree_minus_one_times_mp_when_defined():
@@ -356,7 +330,7 @@ def test_refinement_weights_whole_table_consistent():
         table = refinement_weights(lat)
         assert set(table) == set(lat.proper)
         for part, value in table.items():
-            assert value == weight_from_subspectra(spec, part, lat)
+            assert value == subspectra_weight(spec, part)
 
 
 # --- the mask pass against the partition references -------------------------------

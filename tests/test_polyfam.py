@@ -16,11 +16,10 @@ from multfiber.polyfam import (
     coarsening_sum,
     coarsening_value,
     collapsed_poly,
-    restriction_identity_holds,
     vanishing_sum,
     vanishing_sweep,
 )
-from reference import enumerated_coarsening_sum, shape_partitions
+from reference import enumerated_coarsening_sum, restriction_identity_holds, shape_partitions
 
 # the full l <= 5 triangle, ascending coefficients in d
 GOLDEN = {
@@ -160,6 +159,16 @@ def test_edge_rows():
         for _ in range(l - 1):
             power = power * minus_dm1
         assert collapsed_poly(l, 1) == power
+
+
+def test_collapse_refuses_l_above_the_table_limit():
+    assert polyfam.MAX_TABLE_L == 150
+    assert collapsed_poly(150, 1)(3) == (-2) ** 149
+    # past the limit the l-deep recursion would overflow the stack
+    with pytest.raises(DimensionCapError, match="table limit"):
+        collapsed_poly(1100, 1)
+    with pytest.raises(DimensionCapError, match="table limit"):
+        coarsening_value(2000, 3, 5)
 
 
 def test_vanishing_sum_examples():
