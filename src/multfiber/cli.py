@@ -52,6 +52,8 @@ def _read_json(source: str):
         raise _CliError(
             f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
         )
+    except RecursionError:
+        raise _CliError("invalid JSON: arrays or objects nested too deeply")
 
 
 def _load_spectrum(source: str):

@@ -65,8 +65,8 @@ class DimensionCapError(InputError):
     (``lattice.MAX_PARTITIONS``), the states of a size vector's or a whole
     sweep's coarsening passes, 3^l per vector of l blocks
     (``polyfam.MAX_STATES``), the block count l of ``collapsed_poly``,
-    ``coarsening_value`` and the polynomial table (``polyfam.MAX_TABLE_L``)
-    and the solver's degree cap.
+    ``coarsening_value`` and the polynomial table (``polyfam.MAX_TABLE_L``),
+    the solver's degree cap and the float range of its shifts and multipliers.
     """
 
 

@@ -6,23 +6,22 @@ total degree d.  This module carries that machinery in three equivalent
 layers: the sum on explicit block sizes (``coarsening_sum``, one pass of
 the lowest-block recurrence over the 2^l subsets of the blocks, which
 lists no partition), the one-variable integer polynomial in d obtained
-by collapsing (``collapsed_poly``, built from a two-term recurrence), and
-the evaluated value (``coarsening_value``).  On top of it sits the signed
-vanishing sum over all coarsenings, which must be identically zero for
-every size vector; this identity is the engine behind the
-closed-form count; ``vanishing_sweep`` checks it on size multisets.  A
-vector of l blocks costs 3^l states; ``MAX_STATES`` bounds one vector or a sweep.
+by collapsing (``collapsed_poly``: [d^m] p(l, k) = (-1)^m C(l-1, m) S(l-m, k),
+S the Stirling numbers of the second kind, so p(l, k)(d) is the non-central
+Stirling number S_{1-d}(l-1, k-1) of (x + a)^n = sum_j S_a(n, j) x(x-1)...(x-j+1)),
+and the evaluated value (``coarsening_value``).  On top of it sits the signed
+vanishing sum over all coarsenings, zero for every size vector: the engine of
+the closed-form count.  Collapsed, it is that expansion of 0^(l-1) at x = d-1,
+a = 1-d: sum_k (d-1)...(d-k+1) p(l, k)(d) = 0.  ``vanishing_sweep`` checks it on
+size multisets; one of l blocks costs 3^l states, ``MAX_STATES`` bounding a vector or sweep.
 
 Everything here is exact integer arithmetic over abstract partitions; no
-spectrum is needed.  Outputs are immutable; the polynomial cache is a
-plain per-interpreter ``lru_cache`` (use one interpreter per thread or
-treat it as shared read-mostly state).
+spectrum is needed.  Outputs are immutable and nothing is cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -32,8 +31,8 @@ from .lattice import subset_sums
 # A size vector of l blocks costs 3^l states: its row pass joins (3^l - 1)/2
 # block pairs over 2^l subsets, about 0.6-1 us per state, so 2-3 s at the limit.
 MAX_STATES = 3_000_000
-# Bounds l in collapsed_poly, whose recursion is l deep, and so coarsening_value and
-# the polyfam table: 574k coefficients for l <= 150, about 4 s and 440 MB.
+# Bounds l in collapsed_poly, and so coarsening_value, and the polyfam table by the
+# table's size: 574k big-integer coefficients for l <= 150, about 2.5 s and 440 MB to print.
 MAX_TABLE_L = 150
 
 
@@ -57,32 +56,6 @@ class IntPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for i, c in enumerate(b):
-            summed[i] += c
-        return IntPolynomial(tuple(summed))
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coefficients))
-        out = [0] * (len(self.coefficients) + len(other.coefficients))
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    __rmul__ = __mul__
 
     def __call__(self, x: int) -> int:
         value = 0
@@ -158,15 +131,31 @@ def coarsening_sum(l: int, k: int, xs) -> int:
     return _coarsening_row(xs)[k]
 
 
-@lru_cache(maxsize=None)
+def _stirling_rows(n: int) -> list[list[int]]:
+    """Rows 0..n of the Stirling numbers of the second kind: ``rows[i][j]`` is
+    S(i, j), by S(i, j) = S(i-1, j-1) + j * S(i-1, j)."""
+    rows = [[1]]
+    for i in range(1, n + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [prev[j - 1] + j * prev[j] for j in range(1, i + 1)])
+    return rows
+
+
+def _collapsed_row(stirling: list[list[int]], l: int) -> list[IntPolynomial]:
+    """p(l, k) for k = 1..l from the Stirling rows 0..l: [d^m] p(l, k) is
+    (-1)^m C(l-1, m) S(l-m, k) for m = 0..l-k."""
+    signed = [(-1) ** m * comb(l - 1, m) for m in range(l)]
+    return [
+        IntPolynomial(tuple(signed[m] * stirling[l - m][k] for m in range(l - k + 1)))
+        for k in range(1, l + 1)
+    ]
+
+
 def collapsed_poly(l: int, k: int) -> IntPolynomial:
     """One-variable collapse of the coarsening sum, as a polynomial in d.
 
-    Built from the recurrence  p(l+1, k) = p(l, k-1) - (Y - k) * p(l, k)
-    with base row p(2, 1) = -(Y-1), p(2, 2) = 1, zero otherwise; the
-    polynomial has degree l-k with leading sign (-1)^(l-k) for
-    1 <= k <= l, and is zero outside that range.  The recursion is l deep,
-    so l above ``MAX_TABLE_L`` is refused before it starts.
+    Degree l-k with leading sign (-1)^(l-k) for 1 <= k <= l, zero outside
+    that range; l above ``MAX_TABLE_L`` is refused.
     """
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
@@ -174,10 +163,7 @@ def collapsed_poly(l: int, k: int) -> IntPolynomial:
         raise DimensionCapError(f"l = {l} above the table limit {MAX_TABLE_L}")
     if k <= 0 or k >= l + 1:
         return IntPolynomial()
-    if l == 2:
-        return IntPolynomial((1, -1)) if k == 1 else IntPolynomial((1,))
-    y_minus_k = IntPolynomial((-k, 1))
-    return collapsed_poly(l - 1, k - 1) - y_minus_k * collapsed_poly(l - 1, k)
+    return _collapsed_row(_stirling_rows(l), l)[k - 1]
 
 
 def coarsening_value(l: int, k: int, d: int) -> int:
@@ -235,5 +221,7 @@ def collapsed_table(max_l: int) -> list[tuple[int, int, IntPolynomial]]:
     coefficients per l, so max_l above ``MAX_TABLE_L`` is refused before any is built."""
     if max_l > MAX_TABLE_L:
         raise DimensionCapError(f"table up to l = {max_l}, above the limit {MAX_TABLE_L}")
-    return [(l, k, collapsed_poly(l, k)) for l in range(2, max_l + 1) for k in range(1, l + 1)]
+    stirling = _stirling_rows(max_l)
+    rows = [(l, _collapsed_row(stirling, l)) for l in range(2, max_l + 1)]
+    return [(l, k, poly) for l, row in rows for k, poly in enumerate(row, 1)]
 

@@ -140,6 +140,14 @@ class VerificationReport(_TupleArray):
     residual: np.ndarray = field(repr=False)
 
 
+def _complex_values(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """mu and lambda as complex arrays, refusing a value beyond the float range."""
+    try:
+        return np.array([complex(m) for m in spec.mu]), np.array([complex(v) for v in spec.lam])
+    except OverflowError:
+        raise DimensionCapError("a shift or multiplier above the float range 1.8e308") from None
+
+
 class SigmaSystem:
     """The d equations in d unknowns, with closed-form Jacobian, batched."""
 
@@ -149,7 +157,7 @@ class SigmaSystem:
                 "degree 2 is handled analytically, not by the solver"
             )
         self.d = spec.d
-        self.mu = np.array([complex(m) for m in spec.mu])
+        self.mu, self.lam = _complex_values(spec)
 
     def residual(self, Z: np.ndarray) -> np.ndarray:
         """Equation values at each row of Z (shape (B, d))."""
@@ -258,7 +266,7 @@ def solve_system(
     if expected is None:
         expected = fiber_report(spec).e_I0
     rng = random.Random(cfg.seed)  # importing numpy.random costs about 6 MB RSS
-    radius = 2.0 * (1.0 + max(abs(complex(v)) for v in spec.lam))
+    radius = 2.0 * (1.0 + max(abs(v) for v in system.lam))
     budget = cfg.budget_factor * (d - 1) * max(expected // (d - 1), 1)
 
     zeta, residual = np.empty((0, d), dtype=complex), np.empty(0)  # the accepted tuples
@@ -365,6 +373,7 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
     d = spec.d
     if d > 2:  # refuse before the exact count; degree 2 is analytic
         _require_solver_degree(d, cfg)
+    mu, lam = _complex_values(spec)  # also refuses before the exact count
     counts = fiber_report(spec)
     classes = value_classes(spec)
     expected_tuples = counts.e_I0
@@ -373,7 +382,7 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
     if d == 2:
         # Analytic: the unique configuration is (c, -c) with c = -1/(2 mu_1),
         # one converged tuple from no starts.
-        c = -1.0 / (2.0 * complex(spec.mu[0]))
+        c = -1.0 / (2.0 * mu[0])
         result = SolveResult(np.array([[c, -c]]), np.zeros(1), 0, 1, 0)
     else:
         try:
@@ -383,7 +392,6 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
 
     Z = result.zeta
     found = len(Z)
-    lam = np.array([complex(v) for v in spec.lam])
     err = np.abs(_multipliers(Z) - lam)
     max_err = float(err.max(initial=0.0))
     max_rel = float((err / np.maximum(1.0, np.abs(lam))).max(initial=0.0))

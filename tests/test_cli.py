@@ -69,6 +69,8 @@ def test_invalid_input_exits_one():
 def test_malformed_scalars_exit_one_without_traceback(tmp_path):
     undecodable = tmp_path / "spectrum.json"
     undecodable.write_bytes(b'{"mu":["1","-1"]}\xff')
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
     huge = "9" * 3000  # mu = (A+i, -A-i, 1, -1): 1/(A+i) has a 6,000-digit denominator
     for bad in [
         '{"lambda":[null,"2"]}',
@@ -78,17 +80,21 @@ def test_malformed_scalars_exit_one_without_traceback(tmp_path):
         '{"lambda":[1e400,"2"]}',
         '{"d":"2","lambda":["0","2"]}',
         str(undecodable),
+        str(nested),
         '{"mu":[' + "1" * 5000 + ',"-1"]}',
         f'{{"mu":["{huge}+1i","-{huge}-1i","1","-1"]}}',
     ]:
         code, _, err = run_cli("count", bad)
         assert code == 1, bad
         assert err.startswith("error:") and "Traceback" not in err, err
-    # every command that writes the unwritable spectrum refuses it
+    # every command that writes the unwritable spectrum refuses it, and verify
+    # refuses a writable one whose shifts pass the float range
+    big = "1" + "0" * 400
     for args in [
         ("lattice", bad),
         ("verify", bad),
         ("gen", "--plan", f'[["{huge}+1i","-{huge}-1i"],["1","-1"]]'),
+        ("verify", f'{{"mu":["{big}","-{big}","1","-1"]}}'),
     ]:
         code, _, err = run_cli(*args)
         assert code == 1, args[0]
