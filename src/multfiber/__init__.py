@@ -23,15 +23,12 @@ from .lattice import (
     BlockPartition,
     Lattice,
     enumerate_lattice,
-    inner_block_count,
-    refines,
     zero_sum_subsets,
 )
 from .counting import (
     FiberReport,
     class_gcds,
     conjugacy_count,
-    factorial_weight,
     fiber_report,
     fiber_size,
     fiber_size_closed_form,
@@ -87,8 +84,6 @@ __all__ = [
     "Lattice",
     "zero_sum_subsets",
     "enumerate_lattice",
-    "refines",
-    "inner_block_count",
     "FiberReport",
     "fiber_size",
     "fiber_size_closed_form",
@@ -96,7 +91,6 @@ __all__ = [
     "monic_centered_count",
     "conjugacy_count",
     "class_gcds",
-    "factorial_weight",
     "IntPolynomial",
     "coarsening_sum",
     "coarsening_value",

@@ -23,13 +23,12 @@ their agreement, checked at every mask, guards the span arithmetic, not
 the sums.  The closed form uses block sizes only, never a recursive
 weight, so its agreement with the recursions is the independent check.
 
-The partition-based routes (``fiber_size`` with either engine and
-``fiber_size_closed_form``) enumerate the lattice and recurse into
-restricted sub-spectra or strict refinements.  They are the slow reference
-the tests hold the mask pass to, and they share one refinement walk
-(``refinement_weights``, over ``Lattice.strict_refinements`` with the
-falling-span product ``_refinement_span``) and one sub-spectrum weight
-(``_subspectra_weight``).
+``fiber_size`` (either recursion) and ``fiber_size_closed_form`` read one
+route each from that pass.  Their ``lat`` argument, like that of the
+discrete counts, is unused; it stays so that callers that pass the later
+arguments by position keep working.  The partition-lattice routes, which
+recurse into restricted sub-spectra or strict refinements, live in the
+tests as the slow reference the mask pass is held to.
 
 All routes must agree exactly; disagreement or a failed exact division is
 an internal error, never bad input.  From the multiplicity count the two
@@ -38,8 +37,7 @@ conjugacy-class count only when every class gcd is 1 (the remaining case
 needs machinery that is out of scope, so it is reported as absent).
 
 Everything here is a pure function of its arguments on
-arbitrary-precision integers; the sub-spectrum memo lives for one call, so
-concurrent evaluation is safe.
+arbitrary-precision integers, so concurrent evaluation is safe.
 """
 
 from __future__ import annotations
@@ -53,14 +51,7 @@ from .errors import (
     EngineDisagreementError,
     InvariantViolationError,
 )
-from .lattice import (
-    BlockPartition,
-    Lattice,
-    enumerate_lattice,
-    group_by_low_bit,
-    inner_block_count,
-    zero_sum_subsets,
-)
+from .lattice import Lattice, group_by_low_bit, zero_sum_subsets
 from .spectrum import Spectrum, ValueClasses, group_order, value_classes
 
 ENGINES = ("subspectra", "refinement")
@@ -83,90 +74,18 @@ def _exact_quotient(total: int, divisor: int, what: str) -> int:
     return total // divisor
 
 
-# --- the partition references ------------------------------------------------
-# Off the count and verify path (``fiber_report`` runs ``mask_counts``), these
-# stay in the library only because the traced mode of ``perfbench/worker.py``
-# (``traced_count``, ``_exact_count``) times ``fiber_size`` with both engines
-# and ``fiber_size_closed_form`` on the lattice of ``enumerate_lattice``.
-
-def factorial_weight(part: BlockPartition) -> int:
-    """prod over blocks of (size - 1)!; the leading term of a weight."""
-    w = 1
-    for n in part.sizes:
-        w *= factorial(n - 1)
-    return w
-
-
-def _subspectra_weight(spec: Spectrum, part: BlockPartition, memo: dict) -> int:
-    """prod over blocks C of (|C|-1) * count of the sub-spectrum on C."""
-    w = 1
-    for block in part.blocks:
-        w *= (block.bit_count() - 1) * _fiber_size(spec.restrict(block), None, "subspectra", memo)
-    return w
-
-
-def _refinement_span(part: BlockPartition, finer: BlockPartition) -> int:
-    """prod over blocks C of ``part`` of falling_span(|C|, #finer blocks in C)."""
-    span = 1
-    for block in part.blocks:
-        span *= falling_span(block.bit_count(), inner_block_count(block, finer))
-    return span
-
-
-def refinement_weights(lat: Lattice) -> dict[BlockPartition, int]:
-    """All partition weights by downward recursion over strict refinements.
-
-    Finer partitions have strictly more blocks, so processing in order of
-    decreasing block count resolves every dependency.
-    """
-    weights: dict[BlockPartition, int] = {}
-    for part in sorted(lat.proper, key=lambda p: -p.block_count):
-        weights[part] = factorial_weight(part) - sum(
-            weights[finer] * _refinement_span(part, finer)
-            for finer in lat.strict_refinements(part)
-        )
-    return weights
-
+# --- one route each, read from the mask pass -----------------------------------
 
 def fiber_size(spec: Spectrum, lat: Lattice | None = None, engine: str = "subspectra") -> int:
-    """Fiber cardinality with multiplicity: (d-2)! minus weighted lattice terms.
-
-    The ``subspectra`` engine counts each restricted sub-spectrum once per call.
-    """
+    """Fiber cardinality with multiplicity by one recursion; ``lat`` is unused."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return _fiber_size(spec, lat, engine, {})
-
-
-def _fiber_size(spec: Spectrum, lat: Lattice | None, engine: str, memo: dict) -> int:
-    """``fiber_size``; ``memo`` maps each shift multiset counted so far to its count."""
-    key = spec.shift_key()
-    if key not in memo:
-        d = spec.d
-        lat = lat if lat is not None else enumerate_lattice(spec)
-        if engine == "refinement":
-            weights = refinement_weights(lat)
-        else:
-            weights = {part: _subspectra_weight(spec, part, memo) for part in lat.proper}
-        memo[key] = factorial(d - 2) - sum(
-            weights[part] * rising_span(d, part.block_count) for part in lat.proper
-        )
-    return memo[key]
+    return mask_counts(spec)[0][engine]
 
 
 def fiber_size_closed_form(spec: Spectrum, lat: Lattice | None = None) -> int:
-    """Fiber cardinality with multiplicity via the signed single sum.
-
-    The sum equals (d-1) times the count; a nonzero remainder in the final
-    division signals an enumeration bug, not bad input.
-    """
-    d = spec.d
-    if lat is None:
-        lat = enumerate_lattice(spec)
-    total = 0
-    for part in lat.partitions:
-        total += (-(d - 1)) ** (part.block_count - 1) * factorial_weight(part)
-    return _exact_quotient(total, d - 1, "signed lattice sum")
+    """Fiber cardinality with multiplicity by the signed sum; ``lat`` is unused."""
+    return mask_counts(spec)[0]["closed_form"]
 
 
 # --- discrete counts ------------------------------------------------------------

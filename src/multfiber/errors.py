@@ -66,12 +66,9 @@ class DimensionCapError(InputError):
     sweep's coarsening passes, 3^l per vector of l blocks
     (``polyfam.MAX_STATES``), the block count l of ``collapsed_poly``,
     ``coarsening_value`` and the polynomial table (``polyfam.MAX_TABLE_L``),
-    the solver's degree cap and the float range of its shifts and multipliers.
+    the solver's degree cap and the float range of its shifts, multipliers
+    and start radius.
     """
-
-
-class GroundSetMismatchError(InputError):
-    """Partitions being compared do not cover the same ground set."""
 
 
 # --- counting ----------------------------------------------------------------

@@ -30,7 +30,7 @@ from itertools import compress, islice, repeat
 from math import comb, lcm
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import DimensionCapError, GroundSetMismatchError
+from .errors import DimensionCapError
 
 if TYPE_CHECKING:
     from .spectrum import Spectrum
@@ -146,13 +146,6 @@ class BlockPartition:
         object.__setattr__(self, "blocks", blocks)
 
     @property
-    def ground(self) -> int:
-        g = 0
-        for b in self.blocks:
-            g |= b
-        return g
-
-    @property
     def block_count(self) -> int:
         return len(self.blocks)
 
@@ -163,28 +156,6 @@ class BlockPartition:
     def index_lists(self) -> list[list[int]]:
         """Blocks as 1-based index lists (external/JSON form)."""
         return [[i + 1 for i in mask_indices(b)] for b in self.blocks]
-
-
-def refines(coarse: BlockPartition, fine: BlockPartition) -> bool:
-    """True iff every block of ``fine`` lies inside some block of ``coarse``.
-
-    This is the lattice order with the one-block partition at the bottom;
-    it is reflexive.
-    """
-    if coarse.ground != fine.ground:
-        raise GroundSetMismatchError("partitions cover different ground sets")
-    for fb in fine.blocks:
-        for cb in coarse.blocks:
-            if fb & cb:
-                if fb & ~cb:
-                    return False
-                break
-    return True
-
-
-def inner_block_count(block_mask: int, fine: BlockPartition) -> int:
-    """Number of ``fine`` blocks contained in the given block."""
-    return sum(1 for b in fine.blocks if not (b & ~block_mask))
 
 
 @dataclass(frozen=True)
@@ -206,12 +177,6 @@ class Lattice:
     @property
     def proper(self) -> tuple[BlockPartition, ...]:
         return self.partitions[1:]
-
-    def strict_refinements(self, part: BlockPartition) -> Iterator[BlockPartition]:
-        """Proper lattice members strictly refining ``part``."""
-        for other in self.proper:
-            if other.block_count > part.block_count and refines(part, other):
-                yield other
 
 
 def _cover_partitions(by_low: dict[int, list[int]], full: int) -> Iterator[tuple[int, ...]]:

@@ -49,17 +49,8 @@ class Spectrum:
     def lam(self) -> tuple[GaussianRational, ...]:
         return tuple(multiplier_from_shift(m) for m in self.mu)
 
-    def restrict(self, mask: int) -> "Spectrum":
-        """Sub-spectrum over the indices in a bitmask (bit i = index i)."""
-        mus = tuple(m for i, m in enumerate(self.mu) if mask >> i & 1)
-        return from_shifts(mus)
-
     def permuted(self, order: tuple[int, ...]) -> "Spectrum":
         return Spectrum(tuple(self.mu[i] for i in order))
-
-    def shift_key(self) -> tuple:
-        """Multiset of shift values; cache key for sub-spectrum counts."""
-        return tuple(sorted(m.sort_key() for m in self.mu))
 
 
 @dataclass(frozen=True)

