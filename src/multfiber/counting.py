@@ -2,39 +2,33 @@
 
 The central quantity is the fiber cardinality *counted with multiplicity*
 of the map sending a conjugacy class of degree-d polynomials to its
-unordered multiplier collection.  Every route writes it as a sum over the
-partitions of the index set into zero-sum blocks, graded by block count:
+unordered multiplier collection.  The paper gives it by two formulas, each
+a sum over the partitions of the index set into zero-sum blocks:
 
-* ``subspectra``: (d-2)! minus rising-span factors times, per proper
-  partition, the product over blocks C of w(C) = (|C|-1) times the count
-  of the sub-spectrum restricted to C;
-* ``refinement``: the same products against falling-span factors give
-  w(full) = (d-1)! minus the weighted sum, and the count is w(full)/(d-1);
-* the closed form: a single signed sum,
+* the recursion over sub-spectra: (d-2)! minus, per proper partition,
+  rising-span factors times the product over blocks C of
+  w(C) = (|C|-1) times the count of the sub-spectrum restricted to C;
+* the closed form, a single signed sum with no recursion:
   (d-1) * count = sum over partitions of {-(d-1)}^{#blocks - 1} times the
   product of (block size - 1)!.
 
-``fiber_report`` evaluates all three in one bottom-up pass over the zero-sum
-index masks (``mask_counts``), one row per mask and no partition: the
-recursions' graded sums and two scalar recurrences, the closed-form sum and
-the partition count.  Since falling_span(n, k) = (n-1) * rising_span(n, k),
-the two recursions share their sums and differ only in the span basis:
-their agreement, checked at every mask, guards the span arithmetic, not
-the sums.  The closed form uses block sizes only, never a recursive
-weight, so its agreement with the recursions is the independent check.
+``fiber_report`` evaluates both in one bottom-up pass over the zero-sum
+index masks (``mask_counts``), one row per mask and no partition, and that
+pass checks that they agree.  The closed form uses block sizes only, never
+a recursive weight, so the agreement is an independent check.
 
-``fiber_size`` (either recursion) and ``fiber_size_closed_form`` read one
-route each from that pass.  Their ``lat`` argument, like that of the
-discrete counts, is unused; it stays so that callers that pass the later
-arguments by position keep working.  The partition-lattice routes, which
-recurse into restricted sub-spectra or strict refinements, live in the
-tests as the slow reference the mask pass is held to.
+``fiber_size`` (under either route name) and ``fiber_size_closed_form``
+return the checked count of that pass.  Their ``lat`` argument, like that
+of the discrete counts, is unused; it stays so that callers that pass the
+later arguments by position keep working.  The partition-lattice routes
+(sub-spectra, the walk over strict refinements, the listed signed sum)
+live in the tests as the slow references the mask pass is held to.
 
-All routes must agree exactly; disagreement or a failed exact division is
-an internal error, never bad input.  From the multiplicity count the two
-discrete counts follow: the monic-centered count always, the
-conjugacy-class count only when every class gcd is 1 (the remaining case
-needs machinery that is out of scope, so it is reported as absent).
+Disagreement or a failed exact division is an internal error, never bad
+input.  From the multiplicity count the two discrete counts follow: the
+monic-centered count always, the conjugacy-class count only when every
+class gcd is 1 (the remaining case needs machinery that is out of scope,
+so it is reported as absent).
 
 Everything here is a pure function of its arguments on
 arbitrary-precision integers, so concurrent evaluation is safe.
@@ -62,11 +56,6 @@ def rising_span(d: int, block_count: int) -> int:
     return factorial(d - 2) // factorial(d - block_count)
 
 
-def falling_span(size: int, inner: int) -> int:
-    """prod_{k=size-inner+1}^{size-1} k, empty product (=1) for inner=1."""
-    return factorial(size - 1) // factorial(size - inner)
-
-
 def _exact_quotient(total: int, divisor: int, what: str) -> int:
     """total // divisor for a division that is exact by theory."""
     if total % divisor:
@@ -74,18 +63,18 @@ def _exact_quotient(total: int, divisor: int, what: str) -> int:
     return total // divisor
 
 
-# --- one route each, read from the mask pass -----------------------------------
+# --- the checked count, by route name -------------------------------------------
 
 def fiber_size(spec: Spectrum, lat: Lattice | None = None, engine: str = "subspectra") -> int:
-    """Fiber cardinality with multiplicity by one recursion; ``lat`` is unused."""
+    """Fiber cardinality with multiplicity from the mask pass; ``lat`` is unused."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return mask_counts(spec)[0][engine]
+    return mask_counts(spec)[0]
 
 
 def fiber_size_closed_form(spec: Spectrum, lat: Lattice | None = None) -> int:
-    """Fiber cardinality with multiplicity by the signed sum; ``lat`` is unused."""
-    return mask_counts(spec)[0]["closed_form"]
+    """Fiber cardinality with multiplicity from the mask pass; ``lat`` is unused."""
+    return mask_counts(spec)[0]
 
 
 # --- discrete counts ------------------------------------------------------------
@@ -149,15 +138,16 @@ def conjugacy_count(
 
 # --- one pass over the zero-sum masks ---------------------------------------------
 
-def mask_counts(spec: Spectrum) -> tuple[dict[str, int], int, int]:
-    """All three routes in one pass over the zero-sum masks, no partitions.
+def mask_counts(spec: Spectrum) -> tuple[int, int, int]:
+    """Both formulas in one pass over the zero-sum masks, no partitions.
 
-    Returns the count by route name, the number of partitions P (the
-    one-block partition included) and the number of zero-sum subsets Z.
-    A proper partition of a mask B is its block b holding the lowest index of
-    B with a partition of B - b (zero-sum, smaller, visited earlier), so each
-    is counted once.  One row (g, F, C) per mask: g[k] sums prod w(C) over the
-    k-block partitions and g[1] = w(B) = (|B|-1) * count; the signed sum is
+    Returns the count, checked to agree between the recursion and the
+    closed form, the number of partitions P (the one-block partition
+    included) and the number of zero-sum subsets Z.  A proper partition of
+    a mask B is its block b holding the lowest index of B with a partition
+    of B - b (zero-sum, smaller, visited earlier), so each is counted once.
+    One row (g, F, C) per mask: g[k] sums prod w(C) over the k-block
+    partitions and g[1] = w(B) = (|B|-1) * count; the signed sum is
     F(B) = (|B|-1)! - (d-1) * sum_b (|b|-1)! * F(B-b), d the full degree, and
     C(B) = 1 + sum_b C(B-b).  ``group_by_low_bit`` bounds the pairs (b, B).
     """
@@ -184,24 +174,17 @@ def mask_counts(spec: Spectrum) -> tuple[dict[str, int], int, int]:
             signed += fact[b.bit_count() - 1] * rf
             count += rc
         sub = fact[n - 2] - sum(rising_span(n, k) * g[k] for k in range(2, len(g)))
-        w = fact[n - 1] - sum(falling_span(n, k) * g[k] for k in range(2, len(g)))
-        if w != (n - 1) * sub:
-            raise EngineDisagreementError(
-                f"recursions disagree on block {mask:#x}: "
-                f"weight {w} != {n - 1} * count {sub}"
-            )
-        g[1] = w
+        g[1] = (n - 1) * sub
         rows[mask] = (g, fact[n - 1] - (d - 1) * signed, 1 + count)
 
-    # The full mask came last, so sub and w are its values; w is divisible
-    # by d-1 because w == (d-1) * sub was just checked.
+    # The full mask came last, so sub is its count by the recursion.
     _, signed, count = rows[masks[-1]]
-    by_engine = {
-        "subspectra": sub,
-        "refinement": w // (d - 1),
-        "closed_form": _exact_quotient(signed, d - 1, "signed lattice sum"),
-    }
-    return by_engine, count, len(masks) - 1
+    closed = _exact_quotient(signed, d - 1, "signed lattice sum")
+    if sub != closed:
+        raise EngineDisagreementError(
+            f"count routes disagree: recursion {sub} != closed form {closed}"
+        )
+    return sub, count, len(masks) - 1
 
 
 # --- aggregate report -------------------------------------------------------------
@@ -244,17 +227,14 @@ class FiberReport:
 
 
 def fiber_report(spec: Spectrum) -> FiberReport:
-    """Run all three routes and check their agreement, bounds and divisions.
+    """Count by the mask pass, which checks its two formulas agree; check the rest.
 
     The report derives the discrete counts from ``s_d`` and the class sizes,
-    so both exact divisions are checked here, before it is built.
+    so the count's bounds and both exact divisions are checked here, before
+    it is built.
     """
-    by_engine, partitions, zero_sum = mask_counts(spec)
+    size, partitions, zero_sum = mask_counts(spec)
     d = spec.d
-    values = set(by_engine.values())
-    if len(values) != 1:
-        raise EngineDisagreementError(f"count routes disagree: {by_engine}")
-    size = values.pop()
     if not 0 <= size <= factorial(d - 2):
         raise InvariantViolationError(
             f"count {size} outside [0, (d-2)!] for d={d}"

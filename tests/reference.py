@@ -8,25 +8,34 @@ against.
 ``multfiber.lattice.zero_sum_subsets`` joins the subset sums of two index
 halves.  The scan kept here builds the exact sums of all 2^d subsets.
 
-``multfiber.counting.mask_counts`` evaluates all three counting routes in
-one pass over the zero-sum index masks.  The routes kept here walk the
-partition lattice of ``multfiber.lattice.enumerate_lattice`` instead:
-``fiber_size`` recurses into restricted sub-spectra (``subspectra``) or
-into strict refinements (``refinement``), and ``fiber_size_closed_form``
-sums factorial weights over the partitions.  The lattice order they need
-(``refines``, ``inner_block_count``, ``strict_refinements``) and the
-sub-spectrum helpers (``restrict``, ``shift_key``) live here with them.
+``multfiber.counting.mask_counts`` evaluates the paper's two formulas, the
+sub-spectrum recursion and the closed form, in one pass over the zero-sum
+index masks.  The routes kept here walk the partition lattice of
+``multfiber.lattice.enumerate_lattice`` instead: ``fiber_size`` recurses
+into restricted sub-spectra (``subspectra``) or walks the strict
+refinements with falling-span weights (``refinement``, the only user of
+``falling_span``), and ``fiber_size_closed_form`` sums factorial weights
+over the partitions.  The lattice order they need (``refines``,
+``inner_block_count``, ``strict_refinements``) and the sub-spectrum helpers
+(``restrict``, ``shift_key``) live here with them.
+
+Two references check the count from outside the partition sums:
+``groebner_tuple_count`` counts the fixed-point tuples of the polynomial
+system by a Groebner basis, and ``planted_spectrum`` builds a spectrum
+together with one exact solution of that system.
 
 Only the tests evaluate the rest: the count's expansion in factorial
 weights over the refinement walk, and the restriction identity of
 ``multfiber.polyfam.coarsening_sum``.
 """
 
+import random
 from functools import lru_cache
 from math import factorial, lcm, prod
 
-from multfiber.counting import _exact_quotient, falling_span, rising_span
+from multfiber.counting import _exact_quotient, rising_span
 from multfiber.errors import DimensionCapError
+from multfiber.exactnum import ZERO, GaussianRational
 from multfiber.lattice import BlockPartition, Lattice, enumerate_lattice
 from multfiber.polyfam import coarsening_sum
 from multfiber.spectrum import from_shifts
@@ -138,6 +147,11 @@ def strict_refinements(lat: Lattice, part: BlockPartition):
             yield other
 
 
+def falling_span(size: int, inner: int) -> int:
+    """prod_{k=size-inner+1}^{size-1} k, empty product (=1) for inner=1."""
+    return factorial(size - 1) // factorial(size - inner)
+
+
 def factorial_weight(part: BlockPartition) -> int:
     """prod over blocks of (size - 1)!; the leading term of a weight."""
     return prod(factorial(n - 1) for n in part.sizes)
@@ -243,3 +257,74 @@ def restriction_identity_holds(l: int, k: int, xs) -> bool:
     left = coarsening_sum(l + 1, k, xs + (0,))
     right = coarsening_sum(l, k - 1, xs) - (sum(xs) - k) * coarsening_sum(l, k, xs)
     return left == right
+
+
+def groebner_tuple_count(spec) -> int:
+    """Tuples of pairwise-distinct coordinates solving the system, with multiplicity.
+
+    The system of ``multfiber.verifier``: sum_i zeta_i = 0,
+    sum_i mu_i zeta_i^k = 0 for 1 <= k <= d-2 and sum_i mu_i zeta_i^(d-1) = -1.
+    Adding t * prod_{i<j} (zeta_i - zeta_j) = 1 removes every solution with
+    two equal coordinates.  The count is the number of standard monomials
+    of a grevlex Groebner basis over the Gaussian rationals, the dimension
+    of the quotient ring, so (d-1) times the fiber count.  A basis of [1]
+    has no solution at all and counts 0.
+    """
+    from sympy import QQ_I, I, Rational, groebner, symbols  # only this reference needs sympy
+
+    d = spec.d
+    zeta = symbols(f"z0:{d}")
+    t = symbols("t")
+    mu = [
+        Rational(m.re.numerator, m.re.denominator) + I * Rational(m.im.numerator, m.im.denominator)
+        for m in spec.mu
+    ]
+    eqs = [sum(zeta)] + [sum(m * z**k for m, z in zip(mu, zeta)) for k in range(1, d - 1)]
+    eqs.append(sum(m * z ** (d - 1) for m, z in zip(mu, zeta)) + 1)
+    eqs.append(t * prod(zeta[i] - zeta[j] for i in range(d) for j in range(i + 1, d)) - 1)
+    basis = groebner(eqs, *zeta, t, order="grevlex", domain=QQ_I)
+    if basis.exprs == [1]:
+        return 0
+    if not basis.is_zero_dimensional:
+        raise ValueError(f"infinitely many tuples for {spec}")
+    leads = [p.monoms(order="grevlex")[0] for p in basis.polys]
+    # the standard monomials are closed under division: grow them from 1
+    start = (0,) * (d + 1)
+    standard, todo = {start}, [start]
+    while todo:
+        m = todo.pop()
+        for i in range(d + 1):
+            up = m[:i] + (m[i] + 1,) + m[i + 1 :]
+            if up not in standard and not any(all(a >= b for a, b in zip(up, lead)) for lead in leads):
+                standard.add(up)
+                todo.append(up)
+    return len(standard)
+
+
+def planted_spectrum(d: int, seed: int, radius: int = 3):
+    """A degree-d spectrum together with one exact tuple ``zeta`` solving its system.
+
+    ``zeta`` is drawn as distinct Gaussian integers (parts in [-radius,
+    radius]) summing to zero.  The shifts solve sum_i mu_i zeta_i^k = 0 for
+    k < d-1 and = -1 for k = d-1 (k = 0 is the zero sum of the spectrum):
+    by the divided-difference identity, mu_i = -1 / prod_{j != i} (zeta_i -
+    zeta_j), which is never zero.  All d equations are checked exactly.
+    Returns the spectrum and ``zeta``, both in the order of its shifts.
+    """
+    rng = random.Random(seed)
+    one = GaussianRational(1, 0)
+    while True:
+        head = [
+            GaussianRational(rng.randint(-radius, radius), rng.randint(-radius, radius))
+            for _ in range(d - 1)
+        ]
+        zeta = head + [-sum(head, ZERO)]
+        if len({z.sort_key() for z in zeta}) == d:
+            break
+    mu = [-one / prod((z - w for w in zeta if w != z), start=one) for z in zeta]
+    powers = [one] * d
+    for k in range(d):
+        total = sum((m * p for m, p in zip(mu, powers)), ZERO)
+        assert total == (-one if k == d - 1 else ZERO), (k, total)
+        powers = [p * z for p, z in zip(powers, zeta)]
+    return from_shifts(mu), tuple(zeta)

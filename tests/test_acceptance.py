@@ -150,9 +150,10 @@ def test_criterion_4_triple_agreement_on_1000_spectra():
             # fiber_report raises on route disagreement, broken divisibility
             # or out-of-bounds counts; restate the key invariants explicitly
             report = mf.fiber_report(spec)
-            by_engine = mask_counts(spec)[0]
-            assert by_engine["subspectra"] == by_engine["refinement"]
-            assert by_engine["refinement"] == by_engine["closed_form"] == report.s_d
+            expected = fiber_size(spec, lat, "subspectra")
+            assert fiber_size(spec, lat, "refinement") == expected
+            assert fiber_size_closed_form(spec, lat) == expected
+            assert mask_counts(spec)[0] == report.s_d == expected
             assert 0 <= report.s_d <= factorial(spec.d - 2)
             assert report.e_I0 == (spec.d - 1) * report.s_d
             order = 1

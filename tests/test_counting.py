@@ -6,9 +6,11 @@ import sys
 from math import factorial
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import multfiber.cli
 import multfiber.counting
 import multfiber.lattice
 import multfiber.spectrum
@@ -19,6 +21,7 @@ from multfiber.counting import (
     mask_counts,
     monic_centered_count,
 )
+from multfiber.errors import EngineDisagreementError
 from multfiber.exactnum import ZERO, GaussianRational
 from multfiber.lattice import BlockPartition, enumerate_lattice
 from multfiber.spectrum import (
@@ -33,6 +36,7 @@ from reference import (
     factorial_weight,
     fiber_size,
     fiber_size_closed_form,
+    groebner_tuple_count,
     refinement_weights,
     subspectra_weight,
 )
@@ -346,8 +350,8 @@ shift_values = st.builds(
 
 
 @st.composite
-def small_spectra(draw):
-    head = draw(st.lists(shift_values, min_size=1, max_size=9))
+def small_spectra(draw, max_d=10):
+    head = draw(st.lists(shift_values, min_size=1, max_size=max_d - 1))
     last = -sum(head, ZERO)
     assume(last)
     return from_shifts(head + [last])
@@ -358,13 +362,9 @@ def small_spectra(draw):
 def test_fiber_report_matches_partition_references(spec):
     lat = enumerate_lattice(spec)
     report = fiber_report(spec)
-    by_engine = mask_counts(spec)[0]
-    assert by_engine == {
-        "subspectra": fiber_size(spec, lat, "subspectra"),
-        "refinement": fiber_size(spec, lat, "refinement"),
-        "closed_form": fiber_size_closed_form(spec, lat),
-    }
-    assert report.engines == by_engine
+    count = mask_counts(spec)[0]
+    assert all_routes(spec, lat) == (count, count, count)
+    assert report.engines == {"subspectra": count, "refinement": count, "closed_form": count}
     assert report.lattice_partitions == len(lat.partitions)
     assert report.zero_sum_subsets == lat.zero_sum_count
 
@@ -388,9 +388,54 @@ def test_counting_does_not_load_numpy():
         "assert 'numpy' not in sys.modules, 'counting loaded numpy'\n"
         "assert callable(multfiber.verify_spectrum)\n"
         "assert 'numpy' in sys.modules\n"
+        "assert 'sympy' not in sys.modules, 'the library loaded sympy'\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# --- the pass's agreement check, and an algebraic reference -----------------------
+
+RICH = ["1", "-1", "2", "-2", "3", "-3"]
+
+
+def break_the_recursion(monkeypatch):
+    real = multfiber.counting.rising_span
+    monkeypatch.setattr(multfiber.counting, "rising_span", lambda d, k: real(d, k) + (k >= 2))
+
+
+def test_a_wrong_recursion_is_caught_by_the_closed_form(monkeypatch):
+    break_the_recursion(monkeypatch)
+    with pytest.raises(EngineDisagreementError, match="count routes disagree"):
+        fiber_report(from_shifts(RICH))
+
+
+def test_cli_count_exits_two_when_the_formulas_disagree(monkeypatch, capsys):
+    break_the_recursion(monkeypatch)
+    assert multfiber.cli.main(["count", '{"mu":["1","-1","2","-2","3","-3"]}']) == 2
+    assert capsys.readouterr().err.startswith("internal consistency violation:")
+
+
+@pytest.mark.parametrize(
+    "shifts",
+    [
+        ["1", "2", "3", "-6"],
+        ["1", "-1", "2", "-2"],
+        ["1", "1", "2", "-4"],
+        ["1", "2", "3", "4", "-10"],
+        ["1+1i", "1+1i", "1-1i", "1-1i", "-4"],
+        ["1", "-1", "1", "-1"],  # the zero fiber: the basis is [1]
+    ],
+)
+def test_groebner_tuple_count_on_fixtures(shifts):
+    spec = from_shifts(shifts)
+    assert groebner_tuple_count(spec) == fiber_report(spec).e_I0
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_spectra(max_d=5))
+def test_groebner_tuple_count_matches_the_pass(spec):
+    assert groebner_tuple_count(spec) == fiber_report(spec).e_I0

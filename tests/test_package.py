@@ -25,6 +25,7 @@ REMOVED = (
     "refines",
     "inner_block_count",
     "GroundSetMismatchError",
+    "falling_span",
 )
 
 

@@ -32,7 +32,7 @@ from multfiber.verifier import (
     solve_system,
     verify_spectrum,
 )
-from reference import fiber_size_closed_form
+from reference import fiber_size_closed_form, planted_spectrum
 
 FIXTURE = ["0", "2", "1/2", "3/2"]
 
@@ -250,6 +250,32 @@ def test_verify_gaussian_spectrum():
     assert report.found_tuples == report.expected_tuples == 3
     assert report.mc_orbits == report.expected_orbits == 3
     assert report.max_multiplier_error < 1e-8
+
+
+def equal_up_to_class_permutation(row, planted, classes, tol) -> bool:
+    """Each class's coordinates of ``row`` pair off with those of ``planted``."""
+    for cls in classes.classes:
+        left = [planted[i] for i in cls]
+        for i in cls:
+            near = [z for z in left if abs(row[i] - z) <= tol]
+            if not near:
+                return False
+            left.remove(near[0])
+    return True
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verify_finds_the_planted_tuple(d, seed):
+    spec, zeta = planted_spectrum(d, seed)
+    planted = [complex(z) for z in zeta]
+    report = verify_spectrum(spec)
+    assert report.status == "verified"
+    tol = 1e-12 * max(1.0, max(map(abs, planted)))
+    classes = value_classes(spec)
+    assert any(
+        equal_up_to_class_permutation(t.zeta, planted, classes, tol) for t in report.tuples
+    )
 
 
 @pytest.mark.parametrize("expected", [0, 1, 2])
