@@ -25,15 +25,21 @@ max-norm residual, or when its Jacobian is exactly singular and it has no
 step.  A batch's converged rows are checked together: a row
 with colliding coordinates is dropped, and one within the dedup tolerance
 of an accepted tuple or of an earlier non-colliding row of its batch is a
-duplicate.  The accepted tuples stay one (n, d) array, with a residual per
-row, from solve to report; ``tuples`` builds ``RootTuple`` objects when it
-is read.  Zero-fiber spectra are verified by exhausting the full start
-budget with nothing accepted, a weaker "consistent" outcome, since
-absence cannot be certified by sampling.  A run whose budget ends
-short of the expected tuples, an empty budget included, reads "incomplete"
-and reports the distinct polynomials it did find.  Newton runs are
-independent and the final merge is deterministic, so the whole pass is
-reproducible under a fixed seed.
+duplicate.  The system is invariant under G x C_(d-1): class-preserving
+permutations G and zeta -> omega * zeta with omega^(d-1) = 1.  So the new
+tuples of each batch are closed under it, one generator (omega, or a swap
+of neighbours within a class) at a time, and each image passes the same
+residual bound and batch check as a Newton row.  One converged start thus
+yields its whole orbit.  ``starts``, ``converged`` and ``deduplicated``
+count Newton starts and rows only.  The accepted tuples stay one (n, d)
+array, with a residual per row, from solve to report; ``tuples`` builds
+``RootTuple`` objects when it is read.  Zero-fiber spectra are verified by
+exhausting the full start budget with nothing accepted, a weaker
+"consistent" outcome, since absence cannot be certified by sampling.  A
+run whose budget ends short of the expected tuples, an empty budget
+included, reads "incomplete" and reports the distinct polynomials it did
+find.  Newton runs are independent and the final merge is deterministic,
+so the whole pass is reproducible under a fixed seed.
 
 ``SolverConfig`` holds only what the caller asks: seed, start budget,
 degree cap and multiplier tolerance.  How the solver runs is fixed here.
@@ -69,6 +75,7 @@ from .spectrum import Spectrum, ValueClasses, value_classes
 EPS_RES = 1e-10        # accept a tuple only below this residual
 MAX_ITER = 200
 BATCH_SIZE = 512
+DIST_CHUNK = 64        # rows per block of pairwise distances
 EPS_DUP = 1e-6         # relative: tuples closer than this are one solution
 EPS_SEP = 1e-7         # relative: coordinates closer than this are a collision
 
@@ -214,19 +221,21 @@ def _require_solver_degree(d: int, cfg: SolverConfig) -> None:
 
 
 def _check_batch(C: np.ndarray, accepted: np.ndarray, expected: int) -> tuple[np.ndarray, int]:
-    """Indices of the new distinct tuples among a batch's converged rows C, and
-    the number of duplicates.  Relative to max(1, max_i |zeta_i|) of the row
-    checked, a row with two coordinates within ``EPS_SEP`` collides and is
-    dropped; another row within ``EPS_DUP`` in max-norm of an accepted row or
-    of an earlier non-colliding row of C is a duplicate.  Raises
-    ``SpuriousSolutionError`` if the new tuples take the count past ``expected``.
+    """Indices of the new distinct tuples among the rows C, and the number of
+    duplicates.  C is a Newton batch's converged rows or the images of the
+    rows last added under one generator of G x C_(d-1).  Relative to
+    max(1, max_i |zeta_i|) of the row checked, a row with two coordinates
+    within ``EPS_SEP`` collides and is dropped; another row within
+    ``EPS_DUP`` in max-norm of an accepted row or of an earlier
+    non-colliding row of C is a duplicate.  Raises ``SpuriousSolutionError``
+    if the new tuples take the count past ``expected``.
     """
     scale = np.maximum(1.0, np.abs(C).max(axis=1))
     i, j = np.triu_indices(C.shape[1], 1)
     rows = np.flatnonzero(np.abs(C[:, i] - C[:, j]).min(axis=1) > EPS_SEP * scale)
     C, tol = C[rows], EPS_DUP * scale[rows, None]
-    dup = (_row_distances(C, accepted) < tol).any(axis=1)
-    dup |= np.tril(_row_distances(C) < tol, -1).any(axis=1)
+    dup = _within(C, accepted, tol).any(axis=1)
+    dup |= np.tril(_within(C, C, tol), -1).any(axis=1)
     if len(accepted) + rows.size - dup.sum() > expected:
         raise SpuriousSolutionError(
             f"found a {expected + 1}-th distinct tuple, expected {expected}"
@@ -246,12 +255,49 @@ def _disc_starts(rng: random.Random, count: int, d: int, radius: float) -> np.nd
     return Z - Z.mean(axis=1, keepdims=True)  # project onto the zero-sum plane
 
 
+def _accept(
+    C: np.ndarray, norms: np.ndarray, zeta: np.ndarray, residual: np.ndarray, expected: int
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The accepted tuples and residuals with the new distinct rows of C added,
+    and how many rows of C are below ``EPS_RES`` and how many of those are
+    duplicates (see ``_check_batch``)."""
+    rows = np.flatnonzero(norms < EPS_RES)
+    new, dups = _check_batch(C[rows], zeta, expected)
+    zeta = np.concatenate([zeta, C[rows[new]]])
+    return zeta, np.concatenate([residual, norms[rows[new]]]), rows.size, dups
+
+
+def _generators(spec: Spectrum) -> list[tuple[np.ndarray, complex]]:
+    """Generators of G x C_(d-1) as (column permutation, factor) pairs: the
+    rotation zeta -> omega * zeta, omega = exp(2 pi i / (d-1)), and each swap of
+    neighbours within a value class."""
+    d = spec.d
+    gens = [(np.arange(d), complex(np.exp(2j * np.pi / (d - 1))))]
+    for cls in value_classes(spec).classes:
+        for a, b in zip(cls, cls[1:]):
+            perm = np.arange(d)
+            perm[[a, b]] = b, a
+            gens.append((perm, 1.0))
+    return gens
+
+
 def solve_system(
     spec: Spectrum,
     cfg: SolverConfig | None = None,
     expected: int | None = None,
 ) -> SolveResult:
     """Multi-start Newton search for all distinct solution tuples.
+
+    The new distinct tuples of each batch are closed under G x C_(d-1): the
+    images of the rows last added, under each generator in turn, pass the
+    same residual bound and ``_check_batch`` as Newton rows, until a round
+    adds nothing.  So one converged start yields its whole orbit, and no
+    array of images has more rows than the last round added.  ``starts``
+    counts Newton starts; ``converged`` counts Newton rows below
+    ``EPS_RES`` and ``deduplicated`` those of them that duplicate an
+    accepted tuple or an earlier row of their batch.  So
+    converged >= deduplicated, and there are at most
+    (converged - deduplicated) * |G| * (d-1) tuples.
 
     Stops issuing new starts once ``expected`` tuples are found (candidates
     already in flight are still checked, so an excess solution raises
@@ -270,6 +316,7 @@ def solve_system(
     if not np.isfinite(radius):
         raise DimensionCapError("start radius 2(1 + max|lambda|) above the float range 1.8e308")
     budget = cfg.budget_factor * (d - 1) * max(expected // (d - 1), 1)
+    generators = _generators(spec)
 
     zeta, residual = np.empty((0, d), dtype=complex), np.empty(0)  # the accepted tuples
     starts = converged = duplicates = 0
@@ -280,12 +327,16 @@ def solve_system(
             Z = _disc_starts(rng, batch, d, radius)
             norms = _newton_batch(system, Z)
             starts += batch
-            rows = np.flatnonzero(norms < EPS_RES)
-            new, dups = _check_batch(Z[rows], zeta, expected)
-            converged += rows.size
+            last = len(zeta)
+            zeta, residual, conv, dups = _accept(Z, norms, zeta, residual, expected)
+            converged += conv
             duplicates += dups
-            zeta = np.concatenate([zeta, Z[rows[new]]])
-            residual = np.concatenate([residual, norms[rows[new]]])
+            while last < len(zeta):  # close the rows added since ``last``
+                added, last = zeta[last:], len(zeta)
+                for perm, factor in generators:
+                    C = added[:, perm] * factor
+                    C_norms = np.abs(system.residual(C)).max(axis=1)
+                    zeta, residual = _accept(C, C_norms, zeta, residual, expected)[:2]
 
     # lexicographic by (re, im) of each coordinate; lexsort's last key leads
     order = np.lexsort([part for col in zeta.T[::-1] for part in (col.imag, col.real)])
@@ -317,13 +368,20 @@ def forward_multipliers(zeta) -> list[complex]:
     return [complex(m) for m in _multipliers(z[None, :])[0]]
 
 
-def _row_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
-    """Max-norm distance from each row of A to each row of B (default A), by columns."""
-    B = A if B is None else B
-    D = np.zeros((len(A), len(B)))
-    for a, b in zip(A.T, B.T):
-        np.maximum(D, np.abs(a[:, None] - b[None, :]), out=D)
-    return D
+def _within(A: np.ndarray, B: np.ndarray, tol) -> np.ndarray:
+    """Whether each row of A is closer than ``tol`` (a scalar, or one per row
+    of A) to each row of B in max-norm.  The distances are taken by columns,
+    for ``DIST_CHUNK`` rows of A at a time, so only the boolean result has
+    len(A) * len(B) entries."""
+    tol = np.broadcast_to(tol, (len(A), 1))
+    out = np.empty((len(A), len(B)), dtype=bool)
+    for s in range(0, len(A), DIST_CHUNK):
+        part = A[s : s + DIST_CHUNK]
+        D = np.zeros((len(part), len(B)))
+        for a, b in zip(part.T, B.T):
+            np.maximum(D, np.abs(a[:, None] - b[None, :]), out=D)
+        out[s : s + DIST_CHUNK] = D < tol[s : s + DIST_CHUNK]
+    return out
 
 
 def _orbits(Z: np.ndarray, classes: ValueClasses | None = None) -> int:
@@ -344,7 +402,7 @@ def _orbits(Z: np.ndarray, classes: ValueClasses | None = None) -> int:
     C[:, 0] = 1.0
     for j in range(d):
         C[:, 1 : j + 2] -= Z[:, j : j + 1] * C[:, : j + 1]
-    first = (_row_distances(C[:, 1:]) < EPS_DUP).argmax(axis=1)
+    first = _within(C[:, 1:], C[:, 1:], EPS_DUP).argmax(axis=1)
     sizes = np.bincount(first)
     sizes = sizes[sizes > 0]
     if classes is not None:
@@ -406,7 +464,7 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
 
     # warnings: pairs of tuples within 10x the dedup threshold of the first
     scale = np.maximum(1.0, np.abs(Z).max(axis=1))
-    near = np.triu(_row_distances(Z) < 10 * EPS_DUP * scale[:, None], 1)
+    near = np.triu(_within(Z, Z, 10 * EPS_DUP * scale[:, None]), 1)
     # a short run finds part of some orbits, so only a full set is size-checked
     orbits = _orbits(Z, classes if found == expected_tuples else None)
     if found < expected_tuples:  # the budget ran out

@@ -237,13 +237,22 @@ def test_verify_incomplete_reports_but_exits_zero():
     assert doc["status"] == "incomplete"
 
 
-def test_verify_short_run_with_a_class_swap_is_incomplete():
-    # one of the two tuples of a single polynomial: a partial orbit
-    code, out, err = run_cli("verify", '{"mu":["2","-1","-1"]}', "--budget-factor", "1")
+def test_verify_short_run_that_finds_one_rotation_orbit_is_incomplete():
+    # 6 starts find one of the two rotation orbits: 3 of the 6 tuples
+    code, out, err = run_cli("verify", '{"mu":["1","2","3","-6"]}', "--budget-factor", "1")
     assert code == 0, err
     doc = json.loads(out)
     assert doc["status"] == "incomplete"
-    assert (doc["found_tuples"], doc["mc_orbits"]) == ("1", "1")
+    assert (doc["found_tuples"], doc["mc_orbits"]) == ("3", "3")
+
+
+def test_verify_short_run_with_a_class_swap_closes_the_orbit():
+    # one converged start gives both tuples of the one polynomial
+    code, out, err = run_cli("verify", '{"mu":["2","-1","-1"]}', "--budget-factor", "1")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["status"] == "verified"
+    assert (doc["found_tuples"], doc["mc_orbits"]) == ("2", "1")
 
 
 def test_verify_zero_fiber_with_empty_budget_is_incomplete():

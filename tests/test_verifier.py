@@ -1,5 +1,6 @@
 """Numerical oracle: system construction, Newton solve, orbit grouping."""
 
+import itertools
 import random
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multfiber.counting import monic_centered_count
+from multfiber.exactnum import ZERO, as_gaussian
 from multfiber.errors import (
     CoincidentRootsError,
     DegreeTooSmallError,
@@ -162,12 +164,23 @@ def test_accepted_set_closed_under_class_permutations():
 
 
 def test_verify_short_run_reports_partial_orbits():
-    # budget factor 1 finds one of the two tuples of the one polynomial
-    spec = from_shifts([2, -1, -1])
+    # budget factor 1 (6 starts) finds one rotation orbit: 3 of the 6 tuples
+    spec = from_shifts([1, 2, 3, -6])
     report = verify_spectrum(spec, SolverConfig(budget_factor=1, seed=0))
     assert report.status == "incomplete"
-    assert report.found_tuples == 1
-    assert report.mc_orbits == 1 == report.expected_orbits
+    assert (report.found_tuples, report.expected_tuples) == (3, 6)
+    assert report.mc_orbits == 3
+
+
+def test_short_run_closes_an_orbit_with_a_nontrivial_stabilizer():
+    # omega = -1 maps (0, b, -b) to the class swap of itself: the orbit has
+    # 2 tuples where |G| (d-1) = 4, and one converged start finds both
+    spec = from_shifts([2, -1, -1])
+    report = verify_spectrum(spec, SolverConfig(budget_factor=1, seed=0))
+    assert report.status == "verified"
+    assert report.found_tuples == report.expected_tuples == 2
+    assert report.mc_orbits == report.expected_orbits == 1
+    assert report.starts == 2 and report.converged == 1
 
 
 @pytest.mark.parametrize(
@@ -264,12 +277,13 @@ def equal_up_to_class_permutation(row, planted, classes, tol) -> bool:
     return True
 
 
-@pytest.mark.parametrize("d", [4, 5, 6])
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "seed, d", [(0, 4), (0, 5), (0, 6), (1, 4), (1, 5), (1, 6), (0, 7)]
+)
 def test_verify_finds_the_planted_tuple(d, seed):
     spec, zeta = planted_spectrum(d, seed)
     planted = [complex(z) for z in zeta]
-    report = verify_spectrum(spec)
+    report = verify_spectrum(spec, SolverConfig(max_degree=7))
     assert report.status == "verified"
     tol = 1e-12 * max(1.0, max(map(abs, planted)))
     classes = value_classes(spec)
@@ -286,9 +300,13 @@ def test_solve_raises_past_a_too_small_expected_count(expected):
 
 
 def test_solve_result_counts_and_order():
-    result = solve_system(from_shifts([1, -1, 2, -2, 3, -3]))
-    assert result.converged >= len(result.tuples) + result.deduplicated
-    assert result.deduplicated > 0
+    spec = from_shifts([1, -1, 2, -2, 3, -3])
+    result = solve_system(spec)
+    # converged and deduplicated count Newton rows; each new one adds its
+    # orbit, at most |G| (d-1) tuples
+    orbit_bound = value_classes(spec).group_order() * (spec.d - 1)
+    assert result.converged >= result.deduplicated > 0
+    assert len(result.tuples) <= (result.converged - result.deduplicated) * orbit_bound
     keys = [tuple((v.real, v.imag) for v in t.zeta) for t in result.tuples]
     assert len(keys) == 35
     assert keys == sorted(keys)
@@ -461,6 +479,92 @@ def test_verify_degree_six_under_any_seed(shifts, seed):
     assert report.mc_orbits == report.expected_orbits
 
 
+# --- closure of the found tuples under G x C_(d-1) ------------------------------
+
+def assert_closed_and_complete(spec, report):
+    """The report has every expected tuple, and the image of each under
+    zeta -> omega * zeta and under each in-class transposition is within
+    ``EPS_DUP`` (relative) of a tuple it has."""
+    assert report.status == ("verified" if report.expected_tuples else "consistent")
+    assert report.found_tuples == report.expected_tuples
+    assert report.mc_orbits == report.expected_orbits
+    Z, d = report.zeta, spec.d
+    tol = verifier.EPS_DUP * np.maximum(1.0, np.abs(Z).max(axis=1))
+    images = [Z * np.exp(2j * np.pi / (d - 1))]
+    for cls in value_classes(spec).classes:
+        for a, b in itertools.combinations(cls, 2):
+            perm = list(range(d))
+            perm[a], perm[b] = b, a
+            images.append(Z[:, perm])
+    for image in images:
+        nearest = np.abs(image[:, None, :] - Z[None, :, :]).max(axis=2).min(axis=1, initial=np.inf)
+        assert (nearest < tol).all()
+
+
+@st.composite
+def pooled_spectra(draw):
+    """Shifts at d <= 5 from a small pool, so values repeat and are Gaussian,
+    with up to (d-2)/2 of the first ones mirrored as -v; the last one makes
+    the sum zero."""
+    d = draw(st.integers(3, 5))
+    pool = st.sampled_from([1, -1, 2, -2, 3, "1+1i", "1-1i", "-1+2i", "2-1i"])
+    values = [as_gaussian(v) for v in draw(st.lists(pool, min_size=d - 1, max_size=d - 1))]
+    mirrored = draw(st.integers(0, (d - 2) // 2))
+    head = values[: d - 1 - mirrored] + [-v for v in values[:mirrored]]
+    last = -sum(head, ZERO)
+    assume(last)
+    return from_shifts(head + [last])
+
+
+@settings(max_examples=40, deadline=None)
+@given(pooled_spectra())
+def test_verify_closes_the_found_tuples(spec):
+    assert_closed_and_complete(spec, verify_spectrum(spec))
+
+
+@pytest.mark.parametrize(
+    "shifts",
+    [
+        [2, -1, -1],  # 2 tuples, |G| (d-1) = 4
+        [1, 1, 1, 1, 1, -5],  # 120 tuples, |G| (d-1) = 600
+    ],
+)
+def test_verify_closes_orbits_with_nontrivial_stabilizers(shifts):
+    spec = from_shifts(shifts)
+    assert_closed_and_complete(spec, verify_spectrum(spec))
+
+
+def test_closure_checks_no_array_much_larger_than_the_fiber(monkeypatch):
+    # listing every image of the first tuple alone would give |G| (d-1) = 600 rows
+    sizes = []
+
+    def spy(C, accepted, expected):
+        sizes.append(len(C))
+        return check(C, accepted, expected)
+
+    check = verifier._check_batch
+    monkeypatch.setattr(verifier, "_check_batch", spy)
+    report = verify_spectrum(from_shifts([1, 1, 1, 1, 1, -5]))
+    assert report.status == "verified"
+    assert report.found_tuples == 120
+    assert report.starts == verifier.BATCH_SIZE  # the rotations alone would need more
+    assert max(sizes) <= 2 * 120
+
+
+def test_closure_raises_past_a_too_small_expected_count():
+    # 2 starts converge once; the omega image is the second tuple
+    with pytest.raises(SpuriousSolutionError, match="expected 1$"):
+        solve_system(from_shifts([2, -1, -1]), SolverConfig(budget_factor=1), expected=1)
+
+
+def test_verify_generic_degree_seven_within_a_short_budget():
+    # 60 * 6 * 120 = 43,200 starts; without the closure it takes 359,424
+    spec = from_shifts([1, 2, 3, 4, 5, 6, -21])
+    report = verify_spectrum(spec, SolverConfig(max_degree=7, budget_factor=60))
+    assert report.status == "verified"
+    assert report.found_tuples == 720
+
+
 # --- the batch check against the per-row rule it replaced ------------------------
 
 def _unit(zeta):
@@ -582,6 +686,22 @@ def test_batch_check_keeps_distinct_rows_and_drops_only_near_ones(batch):
         elif fine[i]:
             others = [*accepted, *(C[j] for j in range(i) if fine[j])]
             assert any(np.abs(zeta - z).max() < tol for z in others)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 512])
+@pytest.mark.parametrize("held", [0, 1])
+def test_batch_check_on_a_newton_batch_in_any_chunk_size(monkeypatch, chunk, held):
+    # a batch at d = 3 converges to the 2 tuples in hundreds of rows
+    spec = from_shifts([1, 2, -3])
+    Z = verifier._disc_starts(random.Random(0), verifier.BATCH_SIZE, 3, 8.0)
+    norms = verifier._newton_batch(SigmaSystem(spec), Z)
+    C = Z[norms < verifier.EPS_RES]
+    assert len(C) > 256
+    accepted = C[:held] * (1 + 1e-9)
+    monkeypatch.setattr(verifier, "DIST_CHUNK", chunk)
+    kept, duplicates = verifier._check_batch(C, accepted, 2)
+    assert ([int(k) for k in kept], duplicates) == _reference_check(C, accepted, 2)
+    assert len(kept) == 2 - held
 
 
 def test_batch_check_counts_a_row_near_an_earlier_duplicate():
