@@ -44,16 +44,14 @@ from .polyfam import (
 
 # The verifier needs numpy; it is imported on first use of one of its names
 # so that counting alone never loads numpy.
-_VERIFIER_NAMES = frozenset(
-    {
-        "RootTuple",
-        "SolverConfig",
-        "VerificationReport",
-        "forward_multipliers",
-        "orbit_count",
-        "solve_system",
-        "verify_spectrum",
-    }
+_VERIFIER_NAMES = (
+    "SolverConfig",
+    "RootTuple",
+    "VerificationReport",
+    "solve_system",
+    "forward_multipliers",
+    "orbit_count",
+    "verify_spectrum",
 )
 
 
@@ -96,12 +94,6 @@ __all__ = [
     "coarsening_value",
     "collapsed_poly",
     "vanishing_sum",
-    "SolverConfig",
-    "RootTuple",
-    "VerificationReport",
-    "solve_system",
-    "forward_multipliers",
-    "orbit_count",
-    "verify_spectrum",
+    *_VERIFIER_NAMES,
     "__version__",
 ]

@@ -5,8 +5,8 @@ Subcommands: ``count`` (all counting routes plus agreement check),
 polynomial table), ``identity-check`` (the vanishing sum over size
 vectors), ``verify`` (the numerical oracle) and ``gen`` (seeded spectrum
 generation).  Counts are serialized as decimal strings so arbitrary
-precision survives JSON.  Exit codes: 0 success, 1 invalid input,
-2 internal consistency violation.
+precision survives JSON.  Exit codes: 0 success, 1 invalid input (an
+``InputError``, usage errors included), 2 internal consistency violation.
 """
 
 from __future__ import annotations
@@ -16,19 +16,15 @@ import json
 import sys
 
 from . import counting, polyfam
-from .errors import InputError, InternalCheckError, SpectrumFormatError
+from .errors import InputError, InternalCheckError
 from .lattice import enumerate_lattice
 from .spectrum import generate, scalars_from_obj, spectrum_from_obj, spectrum_to_obj
-
-
-class _CliError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
     # usage problems are invalid input (exit 1), not internal errors
     def error(self, message):
-        raise _CliError(message)
+        raise InputError(message)
 
 
 def _read_json(source: str):
@@ -41,26 +37,19 @@ def _read_json(source: str):
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _CliError(f"cannot read {source}: {exc}")
+        raise InputError(f"cannot read {source}: {exc}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _CliError(
+        raise InputError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
     except ValueError:  # an integer past the int-to-string digit limit
-        raise _CliError(
+        raise InputError(
             f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
         )
     except RecursionError:
-        raise _CliError("invalid JSON: arrays or objects nested too deeply")
-
-
-def _load_spectrum(source: str):
-    try:
-        return spectrum_from_obj(_read_json(source))
-    except SpectrumFormatError as exc:
-        raise _CliError(str(exc))
+        raise InputError("invalid JSON: arrays or objects nested too deeply")
 
 
 def _emit(document: dict, path: str | None) -> None:
@@ -73,7 +62,7 @@ def _emit(document: dict, path: str | None) -> None:
 
 
 def _cmd_count(args) -> int:
-    spec = _load_spectrum(args.input)
+    spec = spectrum_from_obj(_read_json(args.input))
     report = counting.fiber_report(spec)
     _emit(
         {
@@ -96,7 +85,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    spec = _load_spectrum(args.input)
+    spec = spectrum_from_obj(_read_json(args.input))
     lat = enumerate_lattice(spec)
     _emit(
         {
@@ -129,9 +118,9 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
         sizes = tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise _CliError(f"bad size list {text!r}; expected e.g. 2,2,3")
+        raise InputError(f"bad size list {text!r}; expected e.g. 2,2,3")
     if len(sizes) < 2 or any(s < 2 for s in sizes):
-        raise _CliError("need at least two block sizes, each >= 2")
+        raise InputError("need at least two block sizes, each >= 2")
     return sizes
 
 
@@ -149,7 +138,7 @@ def _cmd_identity_check(args) -> int:
 def _cmd_verify(args) -> int:
     from .verifier import SolverConfig, verify_spectrum  # loads numpy
 
-    spec = _load_spectrum(args.input)
+    spec = spectrum_from_obj(_read_json(args.input))
     written = spectrum_to_obj(spec)  # refuses an unwritable spectrum before the solve
     overrides = {
         name: getattr(args, name)
@@ -187,7 +176,7 @@ def _cmd_verify(args) -> int:
 def _cmd_gen(args) -> int:
     plan_obj = _read_json(args.plan)
     if not isinstance(plan_obj, list):
-        raise _CliError("plan must be a JSON list of blocks")
+        raise InputError("plan must be a JSON list of blocks")
     plan = []
     for item in plan_obj:
         if type(item) is int:  # JSON true/false decode as bool, an int subclass
@@ -195,7 +184,7 @@ def _cmd_gen(args) -> int:
         elif isinstance(item, list):
             plan.append(scalars_from_obj(item, "a plan block"))
         else:
-            raise _CliError("plan items must be integers (sizes) or target lists")
+            raise InputError("plan items must be integers (sizes) or target lists")
     spec = generate(plan, seed=args.seed, exact=args.exact)
     _emit(spectrum_to_obj(spec), args.output)
     return 0
@@ -252,7 +241,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_CliError, InputError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalCheckError as exc:

@@ -21,12 +21,8 @@ class InternalCheckError(MultFiberError):
 
 # --- exact arithmetic / spectrum validation ---------------------------------
 
-class MultipleFixedPointError(InputError):
-    """Reciprocal shift requested for a multiplier equal to 1."""
-
-
 class UnitMultiplierError(InputError):
-    """A spectrum entry equals 1 (multiple fixed point, outside the domain)."""
+    """A multiplier equals 1: a multiple fixed point, outside the domain, with no shift."""
 
 
 class OffHyperplaneError(InputError):
@@ -88,7 +84,7 @@ class InvariantViolationError(InternalCheckError):
 # --- verifier ----------------------------------------------------------------
 
 class SolverConfigError(InputError):
-    """A solver budget or count below its minimum, or a tolerance not finite and positive."""
+    """A solver setting of the wrong type or below its minimum, or a tolerance not finite."""
 
 
 class CoincidentRootsError(InputError):

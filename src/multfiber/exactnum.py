@@ -13,7 +13,7 @@ import re as _regex
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MultipleFixedPointError
+from .errors import UnitMultiplierError
 
 # "p", "p/q", "p/q+r/si", "-ri" ... one optional real term, one optional
 # imaginary term tagged by a trailing lowercase i, no internal spaces.
@@ -34,14 +34,6 @@ class GaussianRational:
         object.__setattr__(self, "im", Fraction(self.im))
 
     # -- construction ---------------------------------------------------
-
-    @classmethod
-    def from_value(cls, value: Scalar) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, str):
-            return cls.parse(value)
-        return cls(Fraction(value))
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
@@ -151,7 +143,11 @@ I = GaussianRational(0, 1)
 
 def as_gaussian(value: Scalar) -> GaussianRational:
     """Coerce an int, Fraction, literal string or GaussianRational."""
-    return GaussianRational.from_value(value)
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, str):
+        return GaussianRational.parse(value)
+    return GaussianRational(Fraction(value))
 
 
 def reciprocal_shift(multiplier: Scalar) -> GaussianRational:
@@ -163,7 +159,7 @@ def reciprocal_shift(multiplier: Scalar) -> GaussianRational:
     """
     m = as_gaussian(multiplier)
     if m == ONE:
-        raise MultipleFixedPointError("multiplier 1 has no reciprocal shift")
+        raise UnitMultiplierError("multiplier 1 has no reciprocal shift")
     return ONE / (ONE - m)
 
 

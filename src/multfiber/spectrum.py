@@ -63,9 +63,6 @@ class ValueClasses:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(k) for k in self.classes)
 
-    def group_order(self) -> int:
-        return group_order(self.sizes)
-
 
 def group_order(sizes) -> int:
     """Order of the class-preserving permutation group, prod (#K)!."""

@@ -32,14 +32,15 @@ of neighbours within a class) at a time, and each image passes the same
 residual bound and batch check as a Newton row.  One converged start thus
 yields its whole orbit.  ``starts``, ``converged`` and ``deduplicated``
 count Newton starts and rows only.  The accepted tuples stay one (n, d)
-array, with a residual per row, from solve to report; ``tuples`` builds
-``RootTuple`` objects when it is read.  Zero-fiber spectra are verified by
-exhausting the full start budget with nothing accepted, a weaker
-"consistent" outcome, since absence cannot be certified by sampling.  A
-run whose budget ends short of the expected tuples, an empty budget
-included, reads "incomplete" and reports the distinct polynomials it did
-find.  Newton runs are independent and the final merge is deterministic,
-so the whole pass is reproducible under a fixed seed.
+array, with a residual per row, from solve to report: a
+``VerificationReport`` is a ``SolveResult`` plus the verdict; ``tuples``
+builds ``RootTuple`` objects when it is read.  Zero-fiber spectra are
+verified by exhausting the full start budget with nothing accepted, a
+weaker "consistent" outcome, since absence cannot be certified by
+sampling.  A run whose budget ends short of the expected tuples, an empty
+budget included, reads "incomplete" and reports the distinct polynomials
+it did find.  Newton runs are independent and the final merge is
+deterministic, so the whole pass is reproducible under a fixed seed.
 
 ``SolverConfig`` holds only what the caller asks: seed, start budget,
 degree cap and multiplier tolerance.  How the solver runs is fixed here.
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -69,7 +71,7 @@ from .errors import (
     SolverConfigError,
     SpuriousSolutionError,
 )
-from .spectrum import Spectrum, ValueClasses, value_classes
+from .spectrum import Spectrum, ValueClasses, group_order, value_classes
 
 
 EPS_RES = 1e-10        # accept a tuple only below this residual
@@ -95,6 +97,14 @@ class SolverConfig:
     max_degree: int = 6
 
     def __post_init__(self):
+        for name, kind in (("budget_factor", Integral), ("seed", Integral),
+                           ("max_degree", Integral), ("eps_mult", Real)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):  # bool is an int
+                what = "an integer" if kind is Integral else "a real number"
+                raise SolverConfigError(f"{name} must be {what}, got {value!r}")
+            if kind is Integral:  # random.Random refuses a numpy integer
+                object.__setattr__(self, name, int(value))
         if self.max_degree < 1:
             raise SolverConfigError(f"max_degree must be >= 1, got {self.max_degree}")
         # a zero budget is allowed: it reports "incomplete" without solving
@@ -113,38 +123,38 @@ class RootTuple:
     residual: float
 
 
-class _TupleArray:
+@dataclass(frozen=True, eq=False)
+class SolveResult:
+    """The accepted tuples, one per row of ``zeta``, and the Newton counts of the run."""
+
+    zeta: np.ndarray = field(repr=False)  # (n, d): the accepted tuples, one per row
+    residual: np.ndarray = field(repr=False)  # (n,)
+    starts: int
+    converged: int
+    deduplicated: int
+
     @property
     def tuples(self) -> tuple[RootTuple, ...]:
         """Each row of ``zeta`` and its ``residual`` as a ``RootTuple``, built when read."""
         rows = zip(self.zeta.tolist(), self.residual.tolist())
         return tuple(RootTuple(zeta=tuple(z), residual=r) for z, r in rows)
 
-
-@dataclass(frozen=True, eq=False)
-class SolveResult(_TupleArray):
-    zeta: np.ndarray  # (n, d): the accepted tuples, one per row
-    residual: np.ndarray  # (n,)
-    starts: int
-    converged: int
-    deduplicated: int
+    @property
+    def found_tuples(self) -> int:
+        return len(self.zeta)
 
 
 @dataclass(frozen=True, eq=False)
-class VerificationReport(_TupleArray):
+class VerificationReport(SolveResult):
+    """A ``SolveResult`` with the exact counts it is checked against and the verdict."""
+
     d: int
-    found_tuples: int
     expected_tuples: int
     mc_orbits: int
     expected_orbits: int
     max_multiplier_error: float
-    starts: int
-    converged: int
-    deduplicated: int
     status: str  # "verified" | "consistent" | "incomplete"
     near_collisions: tuple[tuple[int, int], ...]
-    zeta: np.ndarray = field(repr=False)
-    residual: np.ndarray = field(repr=False)
 
 
 def _complex_values(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -384,15 +394,15 @@ def _within(A: np.ndarray, B: np.ndarray, tol) -> np.ndarray:
     return out
 
 
-def _orbits(Z: np.ndarray, classes: ValueClasses | None = None) -> int:
+def _orbits(Z: np.ndarray, order: int | None = None) -> int:
     """Number of distinct polynomials z + prod_j (z - zeta_j) over the rows of Z.
 
     Rows are scaled to max_i |zeta_i| = 1 (never 0 on a solution, since
     sum_i mu_i zeta_i^(d-1) = -1) and compared by the coefficients of
     prod_j (x - zeta_j) within ``EPS_DUP``; each row is labelled by the first
-    row that agrees with it.  With ``classes``, every polynomial must come
-    from group-order many rows: a wrong-sized orbit means duplicates,
-    missing tuples or a tolerance failure.
+    row that agrees with it.  With the group ``order``, every polynomial must
+    come from that many rows: a wrong-sized orbit means duplicates, missing
+    tuples or a tolerance failure.
     """
     n, d = Z.shape
     if n == 0:
@@ -405,8 +415,7 @@ def _orbits(Z: np.ndarray, classes: ValueClasses | None = None) -> int:
     first = _within(C[:, 1:], C[:, 1:], EPS_DUP).argmax(axis=1)
     sizes = np.bincount(first)
     sizes = sizes[sizes > 0]
-    if classes is not None:
-        order = classes.group_order()
+    if order is not None:
         for size in sizes[sizes != order]:
             raise NonFreeActionError(
                 f"orbit of size {size} where the group order is {order}"
@@ -422,7 +431,7 @@ def orbit_count(tuples, classes: ValueClasses) -> int:
     unless every polynomial comes from exactly group-order many tuples.
     """
     Z = np.array([t.zeta for t in tuples], dtype=complex)
-    return _orbits(Z.reshape(len(tuples), sum(classes.sizes)), classes)
+    return _orbits(Z.reshape(len(tuples), sum(classes.sizes)), group_order(classes.sizes))
 
 
 def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> VerificationReport:
@@ -437,7 +446,6 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
         _require_solver_degree(d, cfg)
     mu, lam = _complex_values(spec)  # also refuses before the exact count
     counts = fiber_report(spec)
-    classes = value_classes(spec)
     expected_tuples = counts.e_I0
     expected_orbits = counts.mc_count
 
@@ -453,20 +461,20 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
             result = exc.result
 
     Z = result.zeta
-    found = len(Z)
+    found = result.found_tuples
     err = np.abs(_multipliers(Z) - lam)
     max_err = float(err.max(initial=0.0))
     max_rel = float((err / np.maximum(1.0, np.abs(lam))).max(initial=0.0))
     if max_rel > cfg.eps_mult:
         raise MultiplierMismatchError(
-            f"relative multiplier error {max_rel:.3g} above eps_mult {cfg.eps_mult:g}"
+            f"relative multiplier error {max_rel:.3g} above eps_mult {float(cfg.eps_mult):g}"
         )
 
     # warnings: pairs of tuples within 10x the dedup threshold of the first
     scale = np.maximum(1.0, np.abs(Z).max(axis=1))
     near = np.triu(_within(Z, Z, 10 * EPS_DUP * scale[:, None]), 1)
     # a short run finds part of some orbits, so only a full set is size-checked
-    orbits = _orbits(Z, classes if found == expected_tuples else None)
+    orbits = _orbits(Z, group_order(counts.kappa_sizes) if found == expected_tuples else None)
     if found < expected_tuples:  # the budget ran out
         status = "incomplete"
     elif expected_tuples == 0:
@@ -475,17 +483,16 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
     else:
         status = "verified"
     return VerificationReport(
+        zeta=Z,
+        residual=result.residual,
+        starts=result.starts,
+        converged=result.converged,
+        deduplicated=result.deduplicated,
         d=d,
-        found_tuples=found,
         expected_tuples=expected_tuples,
         mc_orbits=orbits,
         expected_orbits=expected_orbits,
         max_multiplier_error=max_err,
-        starts=result.starts,
-        converged=result.converged,
-        deduplicated=result.deduplicated,
         status=status,
         near_collisions=tuple(map(tuple, np.argwhere(near).tolist())),
-        zeta=Z,
-        residual=result.residual,
     )

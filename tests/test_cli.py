@@ -102,9 +102,15 @@ def test_malformed_scalars_exit_one_without_traceback(tmp_path):
 
 
 def test_usage_error_exits_one():
-    code, _, err = run_cli("count")
-    assert code == 1
-    assert err.strip()
+    for args in [
+        ("count",),  # a missing input
+        ("frobnicate", FIXTURE),  # an unknown subcommand
+        ("verify", FIXTURE, "--seed", "x"),  # a malformed flag value
+    ]:
+        code, out, err = run_cli(*args)
+        assert code == 1 and out == "", args
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error:") and "Traceback" not in err, err
 
 
 def test_lattice_dump_is_one_based():

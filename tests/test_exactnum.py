@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multfiber.errors import MultipleFixedPointError
+from multfiber.errors import UnitMultiplierError
 from multfiber.exactnum import (
     GaussianRational,
     I,
@@ -92,7 +92,7 @@ def test_format_is_compact():
 def test_reciprocal_shift_examples():
     assert reciprocal_shift(0) == ONE
     assert reciprocal_shift(2) == as_gaussian(-1)
-    with pytest.raises(MultipleFixedPointError):
+    with pytest.raises(UnitMultiplierError, match="multiplier 1 has no reciprocal shift"):
         reciprocal_shift(1)
 
 

@@ -9,7 +9,8 @@ import pytest
 
 import multfiber
 from multfiber.lattice import BlockPartition, Lattice
-from multfiber.spectrum import Spectrum
+from multfiber.exactnum import GaussianRational
+from multfiber.spectrum import Spectrum, ValueClasses
 
 REMOVED = (
     "weight_from_subspectra",
@@ -26,17 +27,22 @@ REMOVED = (
     "inner_block_count",
     "GroundSetMismatchError",
     "falling_span",
+    "MultipleFixedPointError",
+    "_CliError",
+    "_TupleArray",
 )
 
 
 def test_every_public_name_resolves_and_removed_names_are_gone():
     src = Path(multfiber.__file__).resolve().parents[1]
     script = (
-        "import multfiber, multfiber.counting, multfiber.errors, multfiber.lattice, multfiber.polyfam\n"
+        "import multfiber, multfiber.cli, multfiber.counting, multfiber.errors, multfiber.exactnum\n"
+        "import multfiber.lattice, multfiber.polyfam, multfiber.verifier\n"
         "from multfiber import *  # resolves each name in __all__, the lazy verifier ones too\n"
         "assert callable(verify_spectrum) and callable(fiber_report)\n"
         f"removed = {REMOVED!r}\n"
-        "modules = (multfiber, multfiber.counting, multfiber.errors, multfiber.lattice, multfiber.polyfam)\n"
+        "modules = (multfiber, multfiber.cli, multfiber.counting, multfiber.errors, multfiber.exactnum,\n"
+        "           multfiber.lattice, multfiber.polyfam, multfiber.verifier)\n"
         "left = [n for n in removed if n in multfiber.__all__ or any(hasattr(m, n) for m in modules)]\n"
         "assert not left, left\n"
     )
@@ -51,6 +57,12 @@ def test_partition_helpers_left_the_library_classes():
     assert not any(hasattr(Spectrum, n) for n in ("restrict", "shift_key"))
     assert not hasattr(Lattice, "strict_refinements")
     assert not hasattr(BlockPartition, "ground")
+
+
+def test_second_copies_left_the_library_classes():
+    # as_gaussian is the one coercion, spectrum.group_order(sizes) the one group order
+    assert not hasattr(GaussianRational, "from_value")
+    assert not hasattr(ValueClasses, "group_order")
 
 
 def test_fiber_size_refuses_an_unknown_engine():

@@ -16,6 +16,7 @@ from multfiber.lattice import zero_sum_subsets
 from multfiber.spectrum import (
     from_shifts,
     generate,
+    group_order,
     spectrum_from_obj,
     spectrum_to_obj,
     validate,
@@ -94,7 +95,7 @@ def test_value_classes_grouping():
     classes = value_classes(spec)
     assert classes.classes == ((0, 2), (1, 3))
     assert classes.sizes == (2, 2)
-    assert classes.group_order() == 4
+    assert group_order(classes.sizes) == 4
 
 
 def test_value_classes_permutation_invariant_up_to_relabel():

@@ -18,13 +18,13 @@ from multfiber.errors import (
     CoincidentRootsError,
     DegreeTooSmallError,
     DimensionCapError,
-    InputError,
     InternalCheckError,
     NonFreeActionError,
+    SolverConfigError,
     SpuriousSolutionError,
 )
 from multfiber import verifier
-from multfiber.spectrum import from_shifts, validate, value_classes
+from multfiber.spectrum import from_shifts, group_order, validate, value_classes
 from multfiber.verifier import (
     RootTuple,
     SigmaSystem,
@@ -304,7 +304,7 @@ def test_solve_result_counts_and_order():
     result = solve_system(spec)
     # converged and deduplicated count Newton rows; each new one adds its
     # orbit, at most |G| (d-1) tuples
-    orbit_bound = value_classes(spec).group_order() * (spec.d - 1)
+    orbit_bound = group_order(value_classes(spec).sizes) * (spec.d - 1)
     assert result.converged >= result.deduplicated > 0
     assert len(result.tuples) <= (result.converged - result.deduplicated) * orbit_bound
     keys = [tuple((v.real, v.imag) for v in t.zeta) for t in result.tuples]
@@ -362,11 +362,41 @@ def test_verifier_leaves_numpy_random_unimported():
         ("seed", -1),
         ("eps_mult", 0.0),
         ("eps_mult", float("inf")),
+        # the wrong type: a float count, a string tolerance, a bool for either
+        ("budget_factor", 1.5),
+        ("budget_factor", True),
+        ("seed", 0.0),
+        ("seed", False),
+        ("max_degree", "6"),
+        ("max_degree", True),
+        ("eps_mult", "1e-8"),
+        ("eps_mult", True),
+        ("eps_mult", 1e-8j),
     ],
 )
 def test_solver_config_rejects_bad_values(field, value):
-    with pytest.raises(InputError, match=field):
+    with pytest.raises(SolverConfigError, match=field):
         SolverConfig(**{field: value})
+
+
+def test_solver_config_accepts_numpy_integers_and_a_fraction_tolerance():
+    cfg = SolverConfig(budget_factor=np.int64(5), seed=np.int32(0), max_degree=np.int8(6))
+    assert (type(cfg.budget_factor), type(cfg.seed), type(cfg.max_degree)) == (int, int, int)
+    assert verify_spectrum(from_shifts([1, 2, -3]), cfg).status == "verified"
+    with pytest.raises(InternalCheckError, match="eps_mult 1e-30"):
+        verify_spectrum(validate(FIXTURE), SolverConfig(eps_mult=Fraction(1, 10**30)))
+
+
+@pytest.mark.parametrize(
+    "factor, status", [(5000, "verified"), (1, "incomplete"), (0, "incomplete")]
+)
+def test_report_is_a_solve_result(factor, status):
+    # a full run, a short one that finds part of the fiber, and an empty budget
+    report = verify_spectrum(from_shifts([1, 2, 3, -6]), SolverConfig(budget_factor=factor))
+    assert isinstance(report, verifier.SolveResult)
+    assert report.status == status
+    assert report.found_tuples == len(report.zeta) == len(report.tuples)
+    assert "array" not in repr(report) and "zeta" not in repr(report)
 
 
 def test_verify_repeated_real_multipliers():
