@@ -36,7 +36,6 @@ arbitrary-precision integers, so concurrent evaluation is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import factorial, gcd
 
@@ -45,6 +44,7 @@ from .errors import (
     EngineDisagreementError,
     InvariantViolationError,
 )
+from .frozen import Frozen
 from .lattice import Lattice, group_by_low_bit, zero_sum_subsets
 from .spectrum import Spectrum, ValueClasses, group_order, value_classes
 
@@ -189,20 +189,26 @@ def mask_counts(spec: Spectrum) -> tuple[int, int, int]:
 
 # --- aggregate report -------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class FiberReport:
+class FiberReport(Frozen):
     """All computed counts for one spectrum.
 
     Only the count, the class sizes and the two sizes are stored; every
-    other count derives from them, and ``fiber_report`` has checked each
-    derivation before it builds the report.
+    other count derives from them, the degree d too (the sizes sum to it),
+    and ``fiber_report`` has checked each derivation before it builds the
+    report.  ``class_sizes`` holds one byte per value class: a size is at
+    most d <= ``lattice.MAX_SCAN_DEGREE``, and bytes take a third of the
+    memory of a tuple.
     """
 
-    d: int
-    s_d: int
-    kappa_sizes: tuple[int, ...]
-    lattice_partitions: int
-    zero_sum_subsets: int
+    __slots__ = ("s_d", "class_sizes", "lattice_partitions", "zero_sum_subsets")
+
+    @property
+    def d(self) -> int:
+        return sum(self.class_sizes)
+
+    @property
+    def kappa_sizes(self) -> tuple[int, ...]:
+        return tuple(self.class_sizes)
 
     @property
     def e_I0(self) -> int:
@@ -210,11 +216,11 @@ class FiberReport:
 
     @property
     def mc_count(self) -> int:
-        return _monic_centered(self.d, self.s_d, self.kappa_sizes)
+        return _monic_centered(self.d, self.s_d, self.class_sizes)
 
     @property
     def mp_count(self) -> int | None:
-        return _conjugacy(self.s_d, self.kappa_sizes)
+        return _conjugacy(self.s_d, self.class_sizes)
 
     @property
     def engines(self) -> dict[str, int]:
@@ -223,7 +229,7 @@ class FiberReport:
 
     @property
     def gw_flags(self) -> tuple[int, ...]:
-        return class_gcds(self.kappa_sizes)
+        return class_gcds(self.class_sizes)
 
 
 def fiber_report(spec: Spectrum) -> FiberReport:
@@ -242,10 +248,4 @@ def fiber_report(spec: Spectrum) -> FiberReport:
     sizes = value_classes(spec).sizes
     _monic_centered(d, size, sizes)
     _conjugacy(size, sizes)
-    return FiberReport(
-        d=d,
-        s_d=size,
-        kappa_sizes=sizes,
-        lattice_partitions=partitions,
-        zero_sum_subsets=zero_sum,
-    )
+    return FiberReport(size, bytes(sizes), partitions, zero_sum)

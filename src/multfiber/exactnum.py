@@ -1,52 +1,78 @@
-"""Exact field arithmetic over the Gaussian rationals Q(i).
+"""Exact Gaussian rationals Q(i): the literal grammar and the field arithmetic.
 
-Every zero-sum test in the partition machinery runs on these scalars, so
-nothing here may round: a single inexact comparison would silently corrupt
-the enumeration downstream.  Rational components are ``fractions.Fraction``
-(always reduced, positive denominator, arbitrary precision), values are
-immutable and hashable, and equality is componentwise exact equality.
+A literal is ``p``, ``p/q``, ``ri`` or ``p/q+r/si``: optional surrounding
+whitespace, decimal digits, a sign before a term, and a lowercase i after
+the imaginary term.  ``parse_literal`` splits one into integers, and both
+``GaussianRational.parse`` and the spectrum parser read it that way.  The
+spectrum parser stops at integers: a spectrum holds its shifts over one
+common denominator, so its zero-sum tests are integer sums.
+``GaussianRational`` carries the exact views of a spectrum (shifts and
+multipliers as numbers) and their written form.  Its components are
+``fractions.Fraction`` (reduced, positive denominator, arbitrary
+precision); values are immutable and hashable, and equality is
+componentwise exact equality.
 """
 
 from __future__ import annotations
 
-import re as _regex
-from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import UnitMultiplierError
-
-# "p", "p/q", "p/q+r/si", "-ri" ... one optional real term, one optional
-# imaginary term tagged by a trailing lowercase i, no internal spaces.
-_GAUSS_RE = _regex.compile(
-    r"^(?P<re>[+-]?\d+(?:/\d+)?)?(?:(?P<im>[+-]?\d+(?:/\d+)?)i)?$"
-)
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+def _terms(text: str, *terms: str) -> list[tuple[int, int]]:
+    """Each ``[+-]p`` or ``[+-]p/q`` term of ``text`` as (p, q), q > 0; the syntax of all first."""
+    split = []
+    for term in terms:
+        unsigned = term[1:] if term.startswith(("+", "-")) else term
+        num, slash, den = unsigned.partition("/")
+        if not num.isdecimal() or (slash and not den.isdecimal()):
+            raise ValueError(f"not a Gaussian rational literal: {text!r}")
+        split.append((term.startswith("-"), num, den or "1"))
+    values = []
+    for negative, num, den in split:  # real term first, numerator first
+        p, q = int(num), int(den)
+        if not q:
+            raise ValueError(f"zero denominator in literal: {text!r}")
+        values.append((-p if negative else p, q))
+    return values
+
+
+def parse_literal(text: str) -> tuple[int, int, int]:
+    """A literal as integers (x, y, n): the value (x + y i) / n, with n > 0.
+
+    The imaginary term starts at the last sign after the first character,
+    so ``12i`` is 12i.  Raises ``ValueError`` for bad syntax, a zero
+    denominator, or digits past the interpreter's integer-string limit.
+    """
+    body = text.strip()
+    if not body.endswith("i"):
+        ((p, q),) = _terms(text, body)
+        return p, 0, q
+    body = body[:-1]
+    cut = max(body.rfind("+"), body.rfind("-"), 0)
+    (p, q), (r, s) = _terms(text, body[:cut] or "0", body[cut:])
+    n = lcm(q, s)
+    return p * (n // q), r * (n // s), n
+
+
+class GaussianRational(Frozen):
     """A complex number with exact rational real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re=0, im=0):
+        super().__init__(Fraction(re), Fraction(im))
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
-        """Parse ``p/q``, ``p`` or ``p/q+r/si`` (lowercase i, no spaces)."""
-        match = _GAUSS_RE.match(text.strip())
-        if match is None or (match.group("re") is None and match.group("im") is None):
-            raise ValueError(f"not a Gaussian rational literal: {text!r}")
-        try:
-            re_part = Fraction(match.group("re") or 0)
-            im_part = Fraction(match.group("im") or 0)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in literal: {text!r}") from None
-        return cls(re_part, im_part)
+        """Parse ``p/q``, ``p``, ``ri`` or ``p/q+r/si`` (see ``parse_literal``)."""
+        x, y, n = parse_literal(text)
+        return cls(Fraction(x, n), Fraction(y, n))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -150,12 +176,28 @@ def as_gaussian(value: Scalar) -> GaussianRational:
     return GaussianRational(Fraction(value))
 
 
+def gaussian_parts(value: Scalar) -> tuple[int, int, int]:
+    """``value`` as integers (x, y, n), the Gaussian rational (x + y i) / n with n > 0.
+
+    Takes what ``as_gaussian`` takes; a literal string is read by
+    ``parse_literal`` and no ``Fraction`` is built.
+    """
+    if isinstance(value, str):
+        return parse_literal(value)
+    if isinstance(value, GaussianRational):
+        (a, b), (c, d) = value.re.as_integer_ratio(), value.im.as_integer_ratio()
+        return a * d, c * b, b * d
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)  # a float exactly; refuses nan and inf
+    return value.numerator, 0, value.denominator
+
+
 def reciprocal_shift(multiplier: Scalar) -> GaussianRational:
     """Map a fixed-point multiplier m to its shift 1/(1-m).
 
     The shift is the coordinate in which all block conditions become plain
     zero sums.  m = 1 corresponds to a multiple fixed point and has no
-    shift.
+    shift.  The spectrum parser makes its own check, which names the index.
     """
     m = as_gaussian(multiplier)
     if m == ONE:

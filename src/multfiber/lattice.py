@@ -6,10 +6,11 @@ all vanish exactly; the lattice collects every such partition, including
 the trivial one-block partition, ordered by refinement.
 
 Enumeration runs in two stages.  A meet-in-the-middle scan builds the exact
-integer sums of the subsets of each index half by list doubling and joins
-the halves whose sums cancel, so it builds at most 2 * 2^ceil(d/2) sums,
-not 2^d.  Then an exact-cover search assembles partitions, always extending
-with the block containing the smallest uncovered index, which yields each
+integer sums of the subsets of each index half by list doubling (a spectrum
+holds its shifts as integers over one denominator) and joins the halves
+whose sums cancel, so it builds at most 2 * 2^ceil(d/2) sums, not 2^d.
+Then an exact-cover search assembles partitions, always extending with the
+block containing the smallest uncovered index, which yields each
 partition exactly once and in canonical block order.  ``MAX_SCAN_DEGREE``
 bounds the scan and ``MAX_PAIR_WORK`` the block pairs that the cover search
 and the counting pass try; each raises ``DimensionCapError`` before its
@@ -25,12 +26,12 @@ Results are immutable and shareable.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress, islice, repeat
-from math import comb, lcm
+from math import comb
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import DimensionCapError
+from .frozen import Frozen
 
 if TYPE_CHECKING:
     from .spectrum import Spectrum
@@ -70,14 +71,11 @@ def zero_sum_subsets(spec: "Spectrum") -> list[int]:
     d = spec.d
     if d > MAX_SCAN_DEGREE:
         raise DimensionCapError(f"degree {d} above the scan limit {MAX_SCAN_DEGREE}")
-    # Clear denominators and pack each shift as re*k + im; |subset im sum|
-    # < k/2, so a packed sum is 0 exactly when both parts are.
-    denom = 1
-    for m in spec.mu:
-        denom = lcm(denom, m.re.denominator, m.im.denominator)
-    ims = [int(m.im * denom) for m in spec.mu]
-    k = 2 * sum(map(abs, ims)) + 1
-    packed = [int(m.re * denom) * k + im for m, im in zip(spec.mu, ims)]
+    # The shifts share one denominator, so pack the integer parts as
+    # re*k + im; |subset im sum| < k/2, so a packed sum is 0 exactly when
+    # both parts are.
+    k = 2 * sum(map(abs, spec.im)) + 1
+    packed = [r * k + i for r, i in zip(spec.re, spec.im)]
     # A mask is zero-sum when its low half's negated sum equals its high
     # half's sum (Horowitz-Sahni): at most 2 * 2^ceil(d/2) sums, not 2^d.
     h = d // 2
@@ -122,18 +120,17 @@ def group_by_low_bit(masks: list[int]) -> dict[int, list[int]]:
     return groups
 
 
-@dataclass(frozen=True)
-class BlockPartition:
+class BlockPartition(Frozen):
     """Disjoint blocks covering a ground set, canonically ordered.
 
     Blocks are stored sorted by smallest element, so structural equality
     and hashing are well defined.
     """
 
-    blocks: tuple[int, ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        blocks = tuple(sorted(self.blocks, key=lambda b: b & -b))
+    def __init__(self, blocks: tuple[int, ...]):
+        blocks = tuple(sorted(blocks, key=lambda b: b & -b))
         union = 0
         total = 0
         for b in blocks:
@@ -143,7 +140,7 @@ class BlockPartition:
             total += b.bit_count()
         if total != union.bit_count():
             raise ValueError("overlapping blocks in partition")
-        object.__setattr__(self, "blocks", blocks)
+        super().__init__(blocks)
 
     @property
     def block_count(self) -> int:
@@ -158,17 +155,14 @@ class BlockPartition:
         return [[i + 1 for i in mask_indices(b)] for b in self.blocks]
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """All zero-sum block partitions of one spectrum.
+class Lattice(Frozen):
+    """All zero-sum block partitions of one spectrum: ``Lattice(d, partitions, zero_sum_count)``.
 
     ``partitions`` starts with the trivial one-block partition; everything
     after it is a proper partition (>= 2 blocks, each of size >= 2).
     """
 
-    d: int
-    partitions: tuple[BlockPartition, ...]
-    zero_sum_count: int
+    __slots__ = ("d", "partitions", "zero_sum_count")
 
     @property
     def trivial(self) -> BlockPartition:
@@ -212,4 +206,4 @@ def enumerate_lattice(spec: "Spectrum") -> Lattice:
     for i, blocks in enumerate(partitions):  # in place: each cover is freed as it goes
         partitions[i] = BlockPartition(blocks)
     partitions.sort(key=lambda p: (p.block_count, p.blocks))
-    return Lattice(d=d, partitions=tuple(partitions), zero_sum_count=len(subsets))
+    return Lattice(d, tuple(partitions), len(subsets))

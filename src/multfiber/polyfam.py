@@ -21,11 +21,11 @@ spectrum is needed.  Outputs are immutable and nothing is cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import DimensionCapError
+from .frozen import Frozen
 from .lattice import subset_sums
 
 # A size vector of l blocks costs 3^l states: its row pass joins (3^l - 1)/2
@@ -36,17 +36,16 @@ MAX_STATES = 3_000_000
 MAX_TABLE_L = 150
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Univariate integer polynomial, ascending coefficients, trimmed."""
 
-    coefficients: tuple[int, ...] = ()
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
+    def __init__(self, coefficients: tuple[int, ...] = ()):
+        coeffs = tuple(coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        super().__init__(coeffs)
 
     @property
     def degree(self) -> int:

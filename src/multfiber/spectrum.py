@@ -1,20 +1,22 @@
-"""Validated spectra, stored as shift vectors, and their value classes.
+"""Validated spectra, stored as integer shift vectors, and their value classes.
 
 A spectrum of degree d is an ordered tuple of d multipliers, none equal
 to 1, whose reciprocal shifts mu_i = 1/(1-lambda_i) sum to zero exactly.
-A ``Spectrum`` stores each quantity once, as its shift vector: every count
-and lattice membership test reads mu alone, and the multipliers are
-derived from it on first use.  Instances are immutable and freely shareable.
+A ``Spectrum`` stores the shifts once, over their least common denominator
+D: mu_i = (re[i] + im[i] i) / D, so equal spectra have equal fields.  The
+parser reads each literal into integers (``exactnum.parse_literal``) and
+takes 1/(1-lambda) over the Gaussian integers; every count, zero-sum test
+and value class then reads the integers ``re`` and ``im`` alone.  ``mu``
+and ``lam`` are exact ``GaussianRational`` views, built when read.
+Instances are immutable and freely shareable.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .errors import (
     BlockSumError,
@@ -25,39 +27,42 @@ from .errors import (
     UnitMultiplierError,
     ZeroShiftTargetError,
 )
-from .exactnum import (
-    GaussianRational,
-    ONE,
-    ZERO,
-    as_gaussian,
-    multiplier_from_shift,
-    reciprocal_shift,
-)
+from .exactnum import GaussianRational, as_gaussian, gaussian_parts, multiplier_from_shift
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """A shift vector, the only field; ``lam`` is derived from it and cached."""
+class Spectrum(Frozen):
+    """Shifts mu_i = (re[i] + im[i] i) / D, with D > 0 their least common denominator.
 
-    mu: tuple[GaussianRational, ...]
+    ``validate``, ``from_shifts`` and ``spectrum_from_obj`` check a spectrum
+    and bring D to lowest terms; the constructor takes the fields as given.
+    """
+
+    __slots__ = ("D", "re", "im")
 
     @property
     def d(self) -> int:
-        return len(self.mu)
+        return len(self.re)
 
-    @cached_property
+    @property
+    def mu(self) -> tuple[GaussianRational, ...]:
+        D = self.D
+        return tuple(
+            GaussianRational(Fraction(r, D), Fraction(s, D)) for r, s in zip(self.re, self.im)
+        )
+
+    @property
     def lam(self) -> tuple[GaussianRational, ...]:
         return tuple(multiplier_from_shift(m) for m in self.mu)
 
     def permuted(self, order: tuple[int, ...]) -> "Spectrum":
-        return Spectrum(tuple(self.mu[i] for i in order))
+        return Spectrum(self.D, tuple(self.re[i] for i in order), tuple(self.im[i] for i in order))
 
 
-@dataclass(frozen=True)
-class ValueClasses:
+class ValueClasses(Frozen):
     """Partition of spectrum indices by exact multiplier equality."""
 
-    classes: tuple[tuple[int, ...], ...]
+    __slots__ = ("classes",)
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -72,47 +77,65 @@ def group_order(sizes) -> int:
     return order
 
 
-def _shift_vector(values, shift, what: str, min_len: int = 2, error=OffHyperplaneError):
+# Each value below is a Gaussian rational as integers (x, y, n): (x + y i) / n, n > 0.
+
+def _shift_vector(values, shift, what: str, min_len=2, error=OffHyperplaneError) -> Spectrum:
     """``shift(i, v)`` over ``values``: checks the count first, the zero sum last."""
     if len(values) < min_len:
         raise DegreeTooSmallError(f"need degree >= {min_len}, got {len(values)}")
-    mu = tuple(shift(i, v) for i, v in enumerate(values))
-    total = sum(mu, ZERO)
-    if total != ZERO:
+    shifts = [shift(i, v) for i, v in enumerate(values)]
+    D = lcm(*[n for _, _, n in shifts])
+    re = [x * (D // n) for x, _, n in shifts]
+    im = [y * (D // n) for _, y, n in shifts]
+    if sum(re) or sum(im):
+        total = GaussianRational(Fraction(sum(re), D), Fraction(sum(im), D))
         raise error(f"{what} sum to {total}, not 0")
-    return mu
+    g = gcd(D, *re, *im)  # above 1 only when some shift was not in lowest terms
+    return Spectrum(D // g, tuple(v // g for v in re), tuple(v // g for v in im))
 
 
-def _shift_of_multiplier(i: int, v: GaussianRational) -> GaussianRational:
-    if v == ONE:
+def _shift_of_multiplier(i: int, v: tuple[int, int, int]) -> tuple[int, int, int]:
+    """1/(1-lambda) for lambda = (x + y i)/n: n (n - x + y i) / ((n - x)^2 + y^2)."""
+    x, y, n = v
+    a = n - x
+    if y:
+        re, im, N = n * a, n * y, a * a + y * y
+        g = gcd(re, im, N)
+        return re // g, im // g, N // g
+    if not a:
         raise UnitMultiplierError(f"multiplier at index {i} equals 1")
-    return reciprocal_shift(v)
+    return (n, 0, a) if a > 0 else (-n, 0, -a)
 
 
-def _nonzero_shift(i: int, m: GaussianRational) -> GaussianRational:
-    if not m:
+def _nonzero_shift(i: int, v: tuple[int, int, int]) -> tuple[int, int, int]:
+    if not (v[0] or v[1]):
         raise ZeroShiftTargetError(f"shift at index {i} is 0")
-    return m
+    return v
+
+
+def _spectrum(values, form: str) -> Spectrum:
+    """The spectrum of multipliers (``form`` "lambda") or shifts ("mu")."""
+    if form == "lambda":
+        return _shift_vector(values, _shift_of_multiplier, "reciprocal shifts")
+    return _shift_vector(values, _nonzero_shift, "shifts")
 
 
 def validate(raw) -> Spectrum:
     """Build a Spectrum from multiplier values, rejecting invalid input."""
-    lam = tuple(as_gaussian(v) for v in raw)
-    return Spectrum(_shift_vector(lam, _shift_of_multiplier, "reciprocal shifts"))
+    return _spectrum([gaussian_parts(v) for v in raw], "lambda")
 
 
 def from_shifts(shifts) -> Spectrum:
     """Build a Spectrum from its shift vector (each mu_i = 1/(1-lambda_i))."""
-    return Spectrum(_shift_vector([as_gaussian(v) for v in shifts], _nonzero_shift, "shifts"))
+    return _spectrum([gaussian_parts(v) for v in shifts], "mu")
 
 
 def value_classes(spec: Spectrum) -> ValueClasses:
-    """Group indices by equal shifts, i.e. equal multipliers, ordered by first index."""
-    seen: dict[tuple, list[int]] = {}
-    for i, v in enumerate(spec.mu):
-        seen.setdefault(v.sort_key(), []).append(i)
-    classes = sorted(seen.values(), key=lambda k: k[0])
-    return ValueClasses(tuple(tuple(k) for k in classes))
+    """Group indices by equal shifts, i.e. equal multipliers, in order of first index."""
+    seen: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(zip(spec.re, spec.im)):
+        seen.setdefault(key, []).append(i)
+    return ValueClasses(tuple(map(tuple, seen.values())))
 
 
 # --- test-spectrum generation -------------------------------------------------
@@ -128,13 +151,13 @@ def _random_nonzero_fraction(rng: random.Random) -> Fraction:
     return Fraction(num, rng.randint(1, TARGET_BOUND))
 
 
-def _draw_block(rng: random.Random, size: int) -> list[GaussianRational]:
+def _draw_block(rng: random.Random, size: int) -> list[tuple[int, int, int]]:
     """Random zero-sum block of nonzero rational shift targets."""
     while True:
         head = [_random_nonzero_fraction(rng) for _ in range(size - 1)]
         last = -sum(head)
         if last != 0:
-            return [GaussianRational(v) for v in head] + [GaussianRational(last)]
+            return [gaussian_parts(v) for v in (*head, last)]
 
 
 def generate(plan, *, seed: int = 0, exact: bool = False) -> Spectrum:
@@ -149,7 +172,7 @@ def generate(plan, *, seed: int = 0, exact: bool = False) -> Spectrum:
     until the zero-sum subsets are precisely the unions of whole plan blocks.
     """
     rng = random.Random(seed)
-    fixed: list[tuple[GaussianRational, ...] | None] = []
+    fixed: list[list[tuple[int, int, int]] | None] = []
     sizes: list[int] = []
     for block in plan:
         if isinstance(block, int):
@@ -160,9 +183,9 @@ def generate(plan, *, seed: int = 0, exact: bool = False) -> Spectrum:
             fixed.append(None)
             sizes.append(block)
         else:
-            targets = _shift_vector(
-                [as_gaussian(v) for v in block], _nonzero_shift, "plan block shifts",
-                min_len=1, error=BlockSumError,
+            targets = [gaussian_parts(v) for v in block]
+            _shift_vector(
+                targets, _nonzero_shift, "plan block shifts", min_len=1, error=BlockSumError
             )
             fixed.append(targets)
             sizes.append(len(targets))
@@ -172,10 +195,10 @@ def generate(plan, *, seed: int = 0, exact: bool = False) -> Spectrum:
     has_random = any(b is None for b in fixed)
 
     for _ in range(EXACT_TRIES):
-        targets: list[GaussianRational] = []
+        targets: list[tuple[int, int, int]] = []
         for block, size in zip(fixed, sizes):
             targets.extend(block if block is not None else _draw_block(rng, size))
-        spec = from_shifts(targets)
+        spec = _spectrum(targets, "mu")
         if not exact:
             return spec
         from .lattice import zero_sum_subsets
@@ -208,13 +231,13 @@ def spectrum_to_obj(spec: Spectrum) -> dict:
         ) from None
 
 
-def scalars_from_obj(values, what: str) -> list[GaussianRational]:
-    """A JSON list of scalars (literal strings, integers, floats) parsed exactly."""
+def scalars_from_obj(values, what: str, convert=as_gaussian) -> list:
+    """A JSON list of scalars (literal strings, integers, floats), each read by ``convert``."""
     # JSON true/false decode as bool, a subclass of int: not scalars here
     if not isinstance(values, list) or any(type(v) not in (str, int, float) for v in values):
         raise SpectrumFormatError(f"{what} must be a list of scalars")
     try:
-        return [as_gaussian(v) for v in values]
+        return [convert(v) for v in values]
     except (ValueError, OverflowError) as exc:  # OverflowError: 1e400 is inf
         raise SpectrumFormatError(str(exc)) from None
 
@@ -226,8 +249,8 @@ def spectrum_from_obj(obj) -> Spectrum:
     keys = [k for k in ("lambda", "mu") if k in obj]
     if len(keys) != 1:
         raise SpectrumFormatError('exactly one of "lambda" or "mu" is required')
-    parsed = scalars_from_obj(obj[keys[0]], f'"{keys[0]}"')
+    parsed = scalars_from_obj(obj[keys[0]], f'"{keys[0]}"', gaussian_parts)
     d = obj.get("d", len(parsed))
     if type(d) is not int or d != len(parsed):
         raise SpectrumFormatError(f'"d" must be the integer {len(parsed)}; got {d!r}')
-    return validate(parsed) if keys[0] == "lambda" else from_shifts(parsed)
+    return _spectrum(parsed, keys[0])

@@ -19,6 +19,14 @@ over the partitions.  The lattice order they need (``refines``,
 ``inner_block_count``, ``strict_refinements``) and the sub-spectrum helpers
 (``restrict``, ``shift_key``) live here with them.
 
+``multfiber.spectrum.spectrum_from_obj`` reads each literal into integers
+and takes 1/(1-lambda) over the Gaussian integers.  ``fraction_shifts_from_obj``
+is the parse it replaced: every scalar a ``GaussianRational``, every shift a
+``reciprocal_shift``, the zero sum a ``GaussianRational`` sum; it returns
+the shift vector, and ``spectrum_of_shifts`` clears its denominators with
+``Fraction`` arithmetic.  ``regex_literal`` is the literal grammar that
+``parse_literal`` replaced, one regular expression.
+
 Two references check the count from outside the partition sums:
 ``groebner_tuple_count`` counts the fixed-point tuples of the polynomial
 system by a Groebner basis, and ``planted_spectrum`` builds a spectrum
@@ -30,15 +38,24 @@ weights over the refinement walk, and the restriction identity of
 """
 
 import random
+import re
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
 
 from multfiber.counting import _exact_quotient, rising_span
-from multfiber.errors import DimensionCapError
-from multfiber.exactnum import ZERO, GaussianRational
+from multfiber.errors import (
+    DegreeTooSmallError,
+    DimensionCapError,
+    OffHyperplaneError,
+    SpectrumFormatError,
+    UnitMultiplierError,
+    ZeroShiftTargetError,
+)
+from multfiber.exactnum import ONE, ZERO, GaussianRational, as_gaussian, reciprocal_shift
 from multfiber.lattice import BlockPartition, Lattice, enumerate_lattice
 from multfiber.polyfam import coarsening_sum
-from multfiber.spectrum import from_shifts
+from multfiber.spectrum import Spectrum, from_shifts
 
 MAX_LISTED_BLOCKS = 11  # Bell(11) = 678,570 partitions: about 2 s to list
 
@@ -328,3 +345,68 @@ def planted_spectrum(d: int, seed: int, radius: int = 3):
         assert total == (-one if k == d - 1 else ZERO), (k, total)
         powers = [p * z for p, z in zip(powers, zeta)]
     return from_shifts(mu), tuple(zeta)
+
+
+# --- the parse that spectrum_from_obj replaced --------------------------------------
+
+_GAUSS_RE = re.compile(r"^(?P<re>[+-]?\d+(?:/\d+)?)?(?:(?P<im>[+-]?\d+(?:/\d+)?)i)?$")
+
+
+def regex_literal(text: str) -> GaussianRational:
+    """A literal read by the regular expression that ``parse_literal`` replaced."""
+    match = _GAUSS_RE.match(text.strip())
+    if match is None or (match.group("re") is None and match.group("im") is None):
+        raise ValueError(f"not a Gaussian rational literal: {text!r}")
+    try:
+        return GaussianRational(Fraction(match.group("re") or 0), Fraction(match.group("im") or 0))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in literal: {text!r}") from None
+
+
+def regex_misreads(text: str) -> bool:
+    """True when the expression splits one signless imaginary term in two.
+
+    It lets an unsigned imaginary term follow a real term with no sign
+    between them, so it reads ``12i`` as 1+2i; ``parse_literal`` reads 12i.
+    """
+    match = _GAUSS_RE.match(text.strip())
+    return bool(match and match.group("re") and match.group("im") and match.group("im")[0] not in "+-")
+
+
+def fraction_shifts_from_obj(obj) -> tuple[GaussianRational, ...]:
+    """The shift vector of a spectrum document, parsed and checked on GaussianRationals."""
+    if not isinstance(obj, dict):
+        raise SpectrumFormatError("spectrum document must be a JSON object")
+    keys = [k for k in ("lambda", "mu") if k in obj]
+    if len(keys) != 1:
+        raise SpectrumFormatError('exactly one of "lambda" or "mu" is required')
+    values = obj[keys[0]]
+    if not isinstance(values, list) or any(type(v) not in (str, int, float) for v in values):
+        raise SpectrumFormatError(f'"{keys[0]}" must be a list of scalars')
+    try:
+        parsed = [as_gaussian(v) for v in values]
+    except (ValueError, OverflowError) as exc:
+        raise SpectrumFormatError(str(exc)) from None
+    d = obj.get("d", len(parsed))
+    if type(d) is not int or d != len(parsed):
+        raise SpectrumFormatError(f'"d" must be the integer {len(parsed)}; got {d!r}')
+    if len(parsed) < 2:
+        raise DegreeTooSmallError(f"need degree >= 2, got {len(parsed)}")
+    mu = []
+    for i, v in enumerate(parsed):
+        if keys[0] == "mu" and not v:
+            raise ZeroShiftTargetError(f"shift at index {i} is 0")
+        if keys[0] == "lambda" and v == ONE:
+            raise UnitMultiplierError(f"multiplier at index {i} equals 1")
+        mu.append(v if keys[0] == "mu" else reciprocal_shift(v))
+    total = sum(mu, ZERO)
+    if total != ZERO:
+        what = "shifts" if keys[0] == "mu" else "reciprocal shifts"
+        raise OffHyperplaneError(f"{what} sum to {total}, not 0")
+    return tuple(mu)
+
+
+def spectrum_of_shifts(mu) -> Spectrum:
+    """The Spectrum of GaussianRational shifts, denominators cleared by their lcm."""
+    D = lcm(*(f.denominator for m in mu for f in (m.re, m.im)))
+    return Spectrum(D, tuple(int(m.re * D) for m in mu), tuple(int(m.im * D) for m in mu))

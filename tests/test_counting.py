@@ -15,6 +15,7 @@ import multfiber.counting
 import multfiber.lattice
 import multfiber.spectrum
 from multfiber.counting import (
+    FiberReport,
     class_gcds,
     conjugacy_count,
     fiber_report,
@@ -225,6 +226,12 @@ def test_fiber_report_fields():
     assert set(report.engines) == {"subspectra", "refinement", "closed_form"}
     assert report.lattice_partitions == 2
     assert report.zero_sum_subsets == 2
+    # four fields, the class sizes one byte each; d is their sum
+    assert report == FiberReport(1, b"\x01\x01\x01\x01", 2, 2)
+    assert fiber_report(from_shifts([1, 1, 2, 2, -3, -3])).class_sizes == b"\x02\x02\x02"
+    assert not hasattr(report, "__dict__")
+    with pytest.raises(AttributeError):
+        report.s_d = 2
 
 
 # --- regression shapes ----------------------------------------------------------
@@ -373,7 +380,7 @@ def test_fiber_report_builds_no_partition(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("fiber_report built a partition")
 
-    monkeypatch.setattr(BlockPartition, "__post_init__", refuse)
+    monkeypatch.setattr(BlockPartition, "__init__", refuse)
     monkeypatch.setattr(multfiber.lattice, "enumerate_lattice", refuse)
     report = fiber_report(from_shifts([1, -1, 2, -2, 3, -3]))
     assert report.s_d == 7
@@ -385,7 +392,10 @@ def test_counting_does_not_load_numpy():
     script = (
         "import sys, multfiber\n"
         "multfiber.fiber_report(multfiber.from_shifts([1, -1, 2, -2]))\n"
-        "assert 'numpy' not in sys.modules, 'counting loaded numpy'\n"
+        "lam = ['1/2+1/2i', '1/2+1/2i', '1/2-1/2i', '1/2-1/2i', '5/4']\n"
+        "multfiber.fiber_report(multfiber.spectrum_from_obj({'lambda': lam}))\n"
+        "loaded = {'numpy', 'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "assert not loaded, f'counting loaded {loaded}'\n"
         "assert callable(multfiber.verify_spectrum)\n"
         "assert 'numpy' in sys.modules\n"
         "assert 'sympy' not in sys.modules, 'the library loaded sympy'\n"

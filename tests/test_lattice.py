@@ -35,13 +35,13 @@ from reference import (
 
 
 def brute_zero_sum_subsets(spec):
-    d = spec.d
+    d, mu = spec.d, spec.mu  # mu is built on each read
     hits = []
     for r in range(1, d):
         for combo in itertools.combinations(range(d), r):
             total = ZERO
             for i in combo:
-                total = total + spec.mu[i]
+                total = total + mu[i]
             if total == ZERO:
                 hits.append(sum(1 << i for i in combo))
     return sorted(hits)
@@ -49,14 +49,14 @@ def brute_zero_sum_subsets(spec):
 
 def brute_partitions(spec):
     """All partitions of the index set whose blocks each sum to zero."""
-    d = spec.d
+    d, mu = spec.d, spec.mu
     results = []
     blocks = []
 
     def block_sum_ok(block):
         total = ZERO
         for i in block:
-            total = total + spec.mu[i]
+            total = total + mu[i]
         return total == ZERO
 
     def place(i):
@@ -182,7 +182,7 @@ def test_dimension_cap(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a partition was built past the limit")
 
-    monkeypatch.setattr(BlockPartition, "__post_init__", refuse)
+    monkeypatch.setattr(BlockPartition, "__init__", refuse)
     with pytest.raises(DimensionCapError):
         enumerate_lattice(spec)
 
@@ -217,11 +217,12 @@ def test_lattice_matches_brute_force():
 
 def test_every_partition_block_sums_to_zero():
     spec = generate([2, 2, 2], seed=13)
+    mu = spec.mu
     for part in enumerate_lattice(spec).partitions:
         for block in part.blocks:
             total = ZERO
             for i in mask_indices(block):
-                total = total + spec.mu[i]
+                total = total + mu[i]
             assert total == ZERO
 
 

@@ -1,6 +1,7 @@
 """The package's public surface, as a fresh interpreter sees it."""
 
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +70,25 @@ def test_fiber_size_refuses_an_unknown_engine():
     spec = multfiber.from_shifts([1, -1, 2, -2])
     with pytest.raises(ValueError, match="bogus"):
         multfiber.fiber_size(spec, None, "bogus")
+
+
+def test_value_types_are_frozen_slotted_and_picklable():
+    spec = multfiber.spectrum_from_obj({"mu": ["1", "-1", "2+1i", "-2-1i"]})
+    lat = multfiber.enumerate_lattice(spec)
+    values = [
+        spec,
+        multfiber.value_classes(spec),
+        lat,
+        lat.partitions[-1],
+        multfiber.fiber_report(spec),
+        multfiber.collapsed_poly(4, 2),
+        GaussianRational(1, 2),
+    ]
+    for value in values:
+        assert not hasattr(value, "__dict__")
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert hash(pickle.loads(pickle.dumps(value))) == hash(value)
+        with pytest.raises(AttributeError):
+            setattr(value, value.__slots__[0], None)
+        with pytest.raises(AttributeError):
+            delattr(value, value.__slots__[0])

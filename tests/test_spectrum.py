@@ -1,7 +1,14 @@
 """Spectrum validation, value classes, generation, JSON form."""
 
-import pytest
+import json
+import sys
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multfiber.counting import fiber_report
 from multfiber.errors import (
     BlockSumError,
     DegreeTooSmallError,
@@ -11,9 +18,10 @@ from multfiber.errors import (
     UnitMultiplierError,
     ZeroShiftTargetError,
 )
-from multfiber.exactnum import ZERO, as_gaussian
+from multfiber.exactnum import ZERO, GaussianRational, as_gaussian, multiplier_from_shift
 from multfiber.lattice import zero_sum_subsets
 from multfiber.spectrum import (
+    Spectrum,
     from_shifts,
     generate,
     group_order,
@@ -22,7 +30,14 @@ from multfiber.spectrum import (
     validate,
     value_classes,
 )
-from reference import restrict, shift_key
+from reference import (
+    fraction_shifts_from_obj,
+    regex_literal,
+    regex_misreads,
+    restrict,
+    shift_key,
+    spectrum_of_shifts,
+)
 
 
 def mus(spec):
@@ -239,3 +254,153 @@ def test_shift_key_is_order_free():
     a = from_shifts(["1", "-1", "2", "-2"])
     b = from_shifts(["2", "1", "-2", "-1"])
     assert shift_key(a) == shift_key(b)
+
+
+# --- the integer parse against the Fraction parse it replaced -----------------------
+
+TOO_LONG = "7" * (sys.get_int_max_str_digits() + 1)  # past the int-to-string limit
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+@st.composite
+def written(draw, value: GaussianRational):
+    """One literal or JSON scalar for ``value``, in any form the grammar takes."""
+    re, im = value.re, value.im
+    scale = draw(st.integers(1, 3))  # written unreduced when above 1
+    zeros = draw(st.sampled_from(["", "0", "00"]))
+
+    def part(f: Fraction, signed: bool) -> str:
+        num, den = abs(f.numerator) * scale, f.denominator * scale
+        sign = "-" if f < 0 else ("+" if signed or draw(st.booleans()) else "")
+        return f"{sign}{zeros}{num}" + ("" if den == 1 and draw(st.booleans()) else f"/{zeros}{den}")
+
+    if im == 0 and re.denominator == 1 and draw(st.booleans()):
+        return int(re)
+    if im == 0 and re.denominator & (re.denominator - 1) == 0 and draw(st.booleans()):
+        return float(re)  # exact: a dyadic rational of few digits
+    if im == 0:
+        text = part(re, False)
+    elif re == 0 and draw(st.booleans()):
+        text = part(im, False) + "i"
+    else:
+        text = part(re, False) + part(im, True) + "i"
+    pad = draw(st.sampled_from(["", " ", "\t", " \n"]))
+    return pad + text + pad[::-1]
+
+
+gaussian = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12) | st.just(0),
+)
+odd_scalar = st.sampled_from(
+    ["1/0", "1/0+1i", "1+1/0i", "i", "1+i", "", "+", "1/2/3", "1e5", "0x10", "1 /2", "1+-2i",
+     "1i2", "1_0", "١/٢", "²", TOO_LONG, "1/" + TOO_LONG, TOO_LONG + "/0", "1+" + TOO_LONG + "i",
+     "0", "1", True, False, float("nan"), json.loads("1e400"), 0, 1, 0.5, -2.0, None, ["1"]]
+)
+
+
+@st.composite
+def spectrum_documents(draw):
+    """A valid "mu" or "lambda" document, then maybe one fault, with the scalars written freely."""
+    form = draw(st.sampled_from(["mu", "lambda"]))
+    head = draw(st.lists(gaussian.filter(bool), min_size=1, max_size=6))
+    mu = head + [-sum(head, ZERO)]
+    values = mu if form == "mu" else [multiplier_from_shift(m) if m else m for m in mu]
+    scalars = [draw(written(v)) for v in values]
+    fault = draw(st.sampled_from(["none", "none", "scalar", "degree", "d", "unit", "zero", "sum"]))
+    i = draw(st.integers(0, len(scalars) - 1))
+    if fault == "scalar":
+        scalars[i] = draw(odd_scalar)
+    elif fault == "degree":
+        scalars = scalars[: draw(st.integers(0, 1))]
+    elif fault == "unit":
+        scalars[i] = draw(written(GaussianRational(1)))
+    elif fault == "zero":
+        scalars[i] = draw(written(ZERO))
+    elif fault == "sum":
+        scalars[i] = draw(written(draw(gaussian)))
+    doc = {form: scalars}
+    if fault == "d":
+        doc["d"] = draw(st.sampled_from([len(scalars) + 1, str(len(scalars)), float(len(scalars)), True]))
+    elif draw(st.booleans()):
+        doc["d"] = len(scalars)
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(spectrum_documents())
+def test_parse_matches_the_fraction_parse(doc):
+    spec, error = _outcome(spectrum_from_obj, doc)
+    mu, ref_error = _outcome(fraction_shifts_from_obj, doc)
+    assert error == ref_error
+    if error is None:
+        assert spec == spectrum_of_shifts(mu)
+        assert spec.mu == mu
+        assert spec.lam == tuple(multiplier_from_shift(m) for m in mu)
+        classes = {}
+        for i, m in enumerate(mu):
+            classes.setdefault(m.sort_key(), []).append(i)
+        assert value_classes(spec).classes == tuple(map(tuple, classes.values()))
+        assert fiber_report(spec) == fiber_report(spectrum_of_shifts(mu))
+
+
+def test_parse_names_the_faulty_index_and_the_sum():
+    with pytest.raises(UnitMultiplierError, match="^multiplier at index 2 equals 1$"):
+        spectrum_from_obj({"lambda": ["0", "2", " 2/2 ", "2"]})
+    with pytest.raises(ZeroShiftTargetError, match="^shift at index 1 is 0$"):
+        spectrum_from_obj({"mu": ["1", "-0/5", "-1"]})
+    with pytest.raises(OffHyperplaneError, match=r"^reciprocal shifts sum to 0\+1i, not 0$"):
+        spectrum_from_obj({"lambda": ["0", "2", "1+1i"]})
+    with pytest.raises(OffHyperplaneError, match="^shifts sum to 3/4, not 0$"):
+        spectrum_from_obj({"mu": ["1/2", "1/4"]})
+    with pytest.raises(DegreeTooSmallError, match="^need degree >= 2, got 1$"):
+        spectrum_from_obj({"mu": ["1"]})
+
+
+def test_spectrum_stores_its_shifts_over_the_least_denominator():
+    spec = spectrum_from_obj({"mu": ["2/4", "-1/6+1/3i", "-1/3-2/6i"]})
+    assert spec == Spectrum(6, (3, -1, -2), (0, 2, -2))
+    assert validate(spec.lam) == spec and from_shifts(spec.mu) == spec
+    with pytest.raises(AttributeError):
+        spec.D = 1
+
+
+literal_texts = st.text(alphabet="0123456789+-/i ", max_size=12) | st.builds(
+    "".join, st.lists(st.sampled_from(["1", "12", "-3", "+", "/", "4/5", "i", "0", "٣"]), max_size=5)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(literal_texts)
+def test_literal_grammar_matches_the_regex_but_for_signless_imaginary_terms(text):
+    if not regex_misreads(text):
+        assert _outcome(as_gaussian, text) == _outcome(regex_literal, text)
+        return
+    # the regex read one signless imaginary term as two terms; both
+    # grammars read it whole once a real part 0 is written before it
+    body = text.strip()[:-1]
+    whole = "0" + (body if body[0] in "+-" else "+" + body) + "i"
+    (value, error), (old, old_error) = _outcome(as_gaussian, text), _outcome(regex_literal, whole)
+    assert value == old and (error is None) == (old_error is None)
+
+
+def test_a_signless_imaginary_term_is_read_whole():
+    assert [as_gaussian(t) for t in ("12i", "-12i", " 100i ", "1/23i")] == [
+        GaussianRational(0, 12),
+        GaussianRational(0, -12),
+        GaussianRational(0, 100),
+        GaussianRational(0, Fraction(1, 23)),
+    ]
+    assert [regex_literal(t) for t in ("12i", "100i", "1/23i")] == [
+        GaussianRational(1, 2),
+        GaussianRational(10, 0),
+        GaussianRational(Fraction(1, 2), 3),
+    ]
+    assert spectrum_from_obj({"mu": ["12i", "-12i"]}) == Spectrum(1, (0, 0), (12, -12))

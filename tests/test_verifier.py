@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multfiber.counting import monic_centered_count
-from multfiber.exactnum import ZERO, as_gaussian
+from multfiber.exactnum import I, ZERO, as_gaussian
 from multfiber.errors import (
     CoincidentRootsError,
     DegreeTooSmallError,
@@ -66,6 +66,33 @@ def test_jacobian_matches_finite_differences():
 def test_system_requires_degree_three():
     with pytest.raises(DegreeTooSmallError):
         SigmaSystem(validate(["0", "2"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            lambda re, im, k: as_gaussian(re) * as_gaussian(Fraction(10) ** k) + as_gaussian(im) * I,
+            st.fractions(max_denominator=50),
+            st.fractions(max_denominator=50) | st.just(Fraction(0)),
+            st.integers(-330, 330),
+        ).filter(bool),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_complex_values_are_the_rounded_exact_views(head):
+    # one integer division per part rounds exactly as float() of each view part
+    spec = from_shifts(head + [-sum(head, ZERO)])
+    try:
+        mu = [complex(m) for m in spec.mu]
+        lam = [complex(v) for v in spec.lam]
+    except OverflowError:
+        with pytest.raises(DimensionCapError, match="float range"):
+            verifier._complex_values(spec)
+        return
+    got_mu, got_lam = verifier._complex_values(spec)
+    assert got_mu.tolist() == mu and got_lam.tolist() == lam
 
 
 def test_solver_degree_cap():
