@@ -21,26 +21,20 @@ The solver runs Newton from batches of random starts (uniform in a disc
 per coordinate, then projected onto the zero-sum hyperplane, which
 removes one unstable direction).  A start takes full Newton steps and
 stops, keeping its last iterate, at the first step that fails to lower its
-max-norm residual, or when its Jacobian is exactly singular and it has no
-step.  A batch's converged rows are checked together: a row
-with colliding coordinates is dropped, and one within the dedup tolerance
-of an accepted tuple or of an earlier non-colliding row of its batch is a
-duplicate.  The system is invariant under G x C_(d-1): class-preserving
-permutations G and zeta -> omega * zeta with omega^(d-1) = 1.  So the new
-tuples of each batch are closed under it, one generator (omega, or a swap
-of neighbours within a class) at a time, and each image passes the same
-residual bound and batch check as a Newton row.  One converged start thus
-yields its whole orbit.  ``starts``, ``converged`` and ``deduplicated``
-count Newton starts and rows only.  The accepted tuples stay one (n, d)
-array, with a residual per row, from solve to report: a
-``VerificationReport`` is a ``SolveResult`` plus the verdict; ``tuples``
-builds ``RootTuple`` objects when it is read.  Zero-fiber spectra are
-verified by exhausting the full start budget with nothing accepted, a
-weaker "consistent" outcome, since absence cannot be certified by
-sampling.  A run whose budget ends short of the expected tuples, an empty
-budget included, reads "incomplete" and reports the distinct polynomials
-it did find.  Newton runs are independent and the final merge is
-deterministic, so the whole pass is reproducible under a fixed seed.
+max-norm residual.  Each step is solved in O(d^2) from the Vandermonde
+structure of the Jacobian (``SigmaSystem.step``), which is never built; where
+it is singular the step is not finite, so the start stops.  A batch's
+converged rows are checked together for collisions and duplicates
+(``_check_batch``), and its new tuples are closed under the symmetry group
+G x C_(d-1) (``solve_system``), so one converged start yields its whole
+orbit.  The accepted tuples stay one (n, d) array, with a residual per row,
+from solve to report.  Zero-fiber spectra are verified by exhausting the
+full start budget with nothing accepted, a weaker "consistent" outcome,
+since absence cannot be certified by sampling.  A run whose budget ends
+short of the expected tuples, an empty budget included, reads
+"incomplete" and reports the distinct polynomials it did find.  Newton
+runs are independent and the final merge is deterministic, so the whole
+pass is reproducible under a fixed seed.
 
 ``SolverConfig`` holds only what the caller asks: seed, start budget,
 degree cap and multiplier tolerance.  How the solver runs is fixed here.
@@ -48,8 +42,8 @@ Residual bound, iteration cap and batch size are constants; starts are
 drawn within the radius 2(1 + max|lambda|), refused past the float range;
 the dedup and collision tolerances are relative to max(1, max_i |zeta_i|)
 of the tuple checked, and polynomials are compared by the coefficients of
-prod_j (x - zeta_j) after scaling each tuple to max_i |zeta_i| = 1.  So a
-spectrum verifies alike at any scale.
+prod_j (x - zeta_j) over each value class after scaling each tuple to
+max_i |zeta_i| = 1.  So a spectrum verifies alike at any scale.
 """
 
 from __future__ import annotations
@@ -177,62 +171,81 @@ def _complex_values(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SigmaSystem:
-    """The d equations in d unknowns, with closed-form Jacobian, batched."""
+    """The d equations in d unknowns and their Newton step, on columns of tuples."""
 
     def __init__(self, spec: Spectrum):
         if spec.d < 3:
-            raise DegreeTooSmallError(
-                "degree 2 is handled analytically, not by the solver"
-            )
+            raise DegreeTooSmallError("degree 2 is handled analytically, not by the solver")
         self.d = spec.d
         self.mu, self.lam = _complex_values(spec)
+        self.inv_mu = 1 / self.mu[:, None]
 
     def residual(self, Z: np.ndarray) -> np.ndarray:
-        """Equation values at each row of Z (shape (B, d))."""
+        """Equation values at each column of Z (shape (d, B)), each from its column alone."""
         d = self.d
         F = np.empty_like(Z)
-        F[:, 0] = Z.sum(axis=1)
-        P = Z
-        for k in range(1, d):
-            F[:, k] = P @ self.mu
-            P = P * Z
-        F[:, d - 1] += 1
+        F[0] = Z.sum(axis=0)
+        P = np.empty((d - 1, *Z.shape), dtype=complex)  # P[k-1] = mu * Z^k
+        np.multiply(self.mu[:, None], Z, out=P[0])
+        for k in range(1, d - 1):
+            np.multiply(P[k - 1], Z, out=P[k])
+        F[1:] = P.sum(axis=1)
+        F[d - 1] += 1
         return F
 
-    def jacobian(self, Z: np.ndarray) -> np.ndarray:
-        """d/dzeta_j of equation k is k * mu_j * zeta_j^(k-1)."""
-        B, d = Z.shape
-        J = np.empty((B, d, d), dtype=complex)
-        J[:, 0, :] = 1.0
-        P = np.ones_like(Z)
-        for k in range(1, d):
-            J[:, k, :] = k * self.mu * P
-            P = P * Z
-        return J
+    def step(self, Z: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """The Newton step s with J(Z) s = -F, per column of Z and F (shape (d, B)).
+
+        Row k >= 1 of J is k * mu_j * zeta_j^(k-1), so in t = mu * s rows
+        1..d-1 are the moments sum_j zeta_j^m t_j = b_m = -F_(m+1) / (m+1),
+        m <= d-2, of the Vandermonde system V t = (b, c) with a free top
+        moment c.  Bjorck and Pereyra's two triangular sweeps solve
+        V u = (b, 0) and V w = e_(d-1) at once, and row 0,
+        sum_j t_j / mu_j = -F_0, fixes c in t = u + c w.  A singular J (equal
+        coordinates, or sum_j w_j / mu_j = 0) gives a step that is not finite.
+        """
+        d = self.d
+        n = d - 1
+        f = np.zeros((d, 2, Z.shape[1]), dtype=complex)  # f[:, 0] -> u, f[:, 1] -> w
+        f[:n, 0] = F[1:] / -np.arange(1.0, d)[:, None]
+        f[n, 1] = 1.0
+        for k in range(n):  # the first sweep leaves e_(d-1) as it is
+            f[k + 1 :, 0] -= Z[k] * f[k:n, 0]
+        for k in range(n - 1, -1, -1):
+            f[k + 1 :] /= (Z[k + 1 :] - Z[: n - k])[:, None]
+            f[k:n] -= f[k + 1 :]
+        u, w = f[:, 0], f[:, 1]
+        c = (-F[0] - (self.inv_mu * u).sum(axis=0)) / (self.inv_mu * w).sum(axis=0)
+        return (u + c * w) * self.inv_mu
 
 
 def _newton_batch(system: SigmaSystem, Z: np.ndarray) -> np.ndarray:
-    """Newton on each row of Z in place until it has no step or one fails to lower its residual."""
-    F = system.residual(Z)
-    norms = np.abs(F).max(axis=1)
-    idx = np.flatnonzero(np.isfinite(norms))
-    for _ in range(MAX_ITER):
-        if idx.size == 0:
-            break
-        J = system.jacobian(Z[idx])
-        try:
-            step = np.linalg.solve(J, -F[idx][:, :, None])
-        except np.linalg.LinAlgError:  # solve the rows whose Jacobian has no zero pivot
-            solvable = np.linalg.slogdet(J)[0] != 0
-            idx, J = idx[solvable], J[solvable]
-            step = np.linalg.solve(J, -F[idx][:, :, None])
-        trial = Z[idx] + step[:, :, 0]
-        trial_F = system.residual(trial)
-        trial_norms = np.abs(trial_F).max(axis=1)
-        better = trial_norms < norms[idx]
-        idx = idx[better]
-        Z[idx], F[idx] = trial[better], trial_F[better]
-        norms[idx] = trial_norms[better]
+    """Newton on each row of Z (shape (B, d)) until a step fails to lower its
+    max-norm residual, which is returned; each row's last iterate is left in Z.
+
+    The rows still running are kept in column layout, one contiguous row per
+    coordinate; a row is written back once, when it stops.  A far start
+    overflows and a singular Jacobian gives no finite step, so either stops.
+    """
+    X = Z.T.copy()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        F = system.residual(X)
+        norms = N = np.abs(F).max(axis=0)
+        idx = np.arange(len(Z))
+        for _ in range(MAX_ITER):
+            if idx.size == 0:
+                break
+            trial = X + system.step(X, F)
+            trial_F = system.residual(trial)
+            trial_N = np.abs(trial_F).max(axis=0)
+            better = trial_N < N
+            if not better.all():
+                stop, idx = idx[~better], idx[better]
+                Z[stop], norms[stop] = X[:, ~better].T, N[~better]
+                kept = (trial, trial_F, trial_N)
+                trial, trial_F, trial_N = (a.compress(better, -1) for a in kept)
+            X, F, N = trial, trial_F, trial_N
+    Z[idx], norms[idx] = X.T, N  # rows still running after MAX_ITER
     return norms
 
 
@@ -341,23 +354,21 @@ def solve_system(
 
     zeta, residual = np.empty((0, d), dtype=complex), np.empty(0)  # the accepted tuples
     starts = converged = duplicates = 0
-    # Far starts overflow to inf or nan; a non-finite residual stops its row.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while starts < budget and not 0 < expected <= len(zeta):
-            batch = min(BATCH_SIZE, budget - starts)
-            Z = _disc_starts(rng, batch, d, radius)
-            norms = _newton_batch(system, Z)
-            starts += batch
-            last = len(zeta)
-            zeta, residual, conv, dups = _accept(Z, norms, zeta, residual, expected)
-            converged += conv
-            duplicates += dups
-            while last < len(zeta):  # close the rows added since ``last``
-                added, last = zeta[last:], len(zeta)
-                for perm, factor in generators:
-                    C = added[:, perm] * factor
-                    C_norms = np.abs(system.residual(C)).max(axis=1)
-                    zeta, residual = _accept(C, C_norms, zeta, residual, expected)[:2]
+    while starts < budget and not 0 < expected <= len(zeta):
+        batch = min(BATCH_SIZE, budget - starts)
+        Z = _disc_starts(rng, batch, d, radius)
+        norms = _newton_batch(system, Z)
+        starts += batch
+        last = len(zeta)
+        zeta, residual, conv, dups = _accept(Z, norms, zeta, residual, expected)
+        converged += conv
+        duplicates += dups
+        while last < len(zeta):  # close the rows added since ``last``
+            added, last = zeta[last:], len(zeta)
+            for perm, factor in generators:
+                C = added[:, perm] * factor
+                C_norms = np.abs(system.residual(C.T)).max(axis=0)
+                zeta, residual = _accept(C, C_norms, zeta, residual, expected)[:2]
 
     # lexicographic by (re, im) of each coordinate; lexsort's last key leads
     order = np.lexsort([part for col in zeta.T[::-1] for part in (col.imag, col.real)])
@@ -405,32 +416,35 @@ def _within(A: np.ndarray, B: np.ndarray, tol) -> np.ndarray:
     return out
 
 
-def _orbits(Z: np.ndarray, order: int | None = None) -> int:
+def _orbits(Z: np.ndarray, classes: ValueClasses, check: bool = True) -> int:
     """Number of distinct polynomials z + prod_j (z - zeta_j) over the rows of Z.
 
-    Rows are scaled to max_i |zeta_i| = 1 (never 0 on a solution, since
-    sum_i mu_i zeta_i^(d-1) = -1) and compared by the coefficients of
-    prod_j (x - zeta_j) within ``EPS_DUP``; each row is labelled by the first
-    row that agrees with it.  With the group ``order``, every polynomial must
-    come from that many rows: a wrong-sized orbit means duplicates, missing
-    tuples or a tolerance failure.
+    Two rows give one polynomial iff each value class holds the same
+    coordinates in both.  Rows are scaled to max_i |zeta_i| = 1 (never 0 on a
+    solution, since sum_i mu_i zeta_i^(d-1) = -1) and compared within
+    ``EPS_DUP`` by the coefficients of prod_j (x - zeta_j) over each class;
+    each row is labelled by the first row that agrees with it.  With
+    ``check``, every polynomial must come from group-order many rows: a
+    wrong-sized orbit means duplicates, missing tuples or a tolerance failure.
     """
-    n, d = Z.shape
+    n = len(Z)
     if n == 0:
         return 0
     Z = Z / np.abs(Z).max(axis=1, keepdims=True)
-    C = np.zeros((n, d + 1), dtype=complex)  # descending, C[:, 0] = 1
-    C[:, 0] = 1.0
-    for j in range(d):
-        C[:, 1 : j + 2] -= Z[:, j : j + 1] * C[:, : j + 1]
-    first = _within(C[:, 1:], C[:, 1:], EPS_DUP).argmax(axis=1)
+    C = np.zeros((n, Z.shape[1]), dtype=complex)  # per class, descending, the leading 1 left out
+    at = 0
+    for cls in classes.classes:
+        for m, j in enumerate(cls):  # multiply by (x - zeta_j)
+            C[:, at + 1 : at + m + 1] -= Z[:, j : j + 1] * C[:, at : at + m]
+            C[:, at] -= Z[:, j]
+        at += len(cls)
+    first = _within(C, C, EPS_DUP).argmax(axis=1)
     sizes = np.bincount(first)
     sizes = sizes[sizes > 0]
-    if order is not None:
-        for size in sizes[sizes != order]:
-            raise NonFreeActionError(
-                f"orbit of size {size} where the group order is {order}"
-            )
+    order = group_order(classes.sizes)
+    if check and (sizes != order).any():
+        size = sizes[sizes != order][0]
+        raise NonFreeActionError(f"orbit of size {size} where the group order is {order}")
     return len(sizes)
 
 
@@ -442,7 +456,7 @@ def orbit_count(tuples, classes: ValueClasses) -> int:
     unless every polynomial comes from exactly group-order many tuples.
     """
     Z = np.array([t.zeta for t in tuples], dtype=complex)
-    return _orbits(Z.reshape(len(tuples), sum(classes.sizes)), group_order(classes.sizes))
+    return _orbits(Z.reshape(len(tuples), sum(classes.sizes)), classes)
 
 
 def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> VerificationReport:
@@ -485,7 +499,7 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
     scale = np.maximum(1.0, np.abs(Z).max(axis=1))
     near = np.triu(_within(Z, Z, 10 * EPS_DUP * scale[:, None]), 1)
     # a short run finds part of some orbits, so only a full set is size-checked
-    orbits = _orbits(Z, group_order(counts.kappa_sizes) if found == expected_tuples else None)
+    orbits = _orbits(Z, value_classes(spec), check=found == expected_tuples)
     if found < expected_tuples:  # the budget ran out
         status = "incomplete"
     elif expected_tuples == 0:

@@ -27,6 +27,11 @@ the shift vector, and ``spectrum_of_shifts`` clears its denominators with
 ``Fraction`` arithmetic.  ``regex_literal`` is the literal grammar that
 ``parse_literal`` replaced, one regular expression.
 
+``multfiber.verifier.SigmaSystem.step`` solves each Newton step from the
+Vandermonde structure of the Jacobian.  ``jacobian`` builds that Jacobian
+densely, one d x d matrix per tuple, for a general solver to be checked
+against.
+
 Two references check the count from outside the partition sums:
 ``groebner_tuple_count`` counts the fixed-point tuples of the polynomial
 system by a Groebner basis, and ``planted_spectrum`` builds a spectrum
@@ -43,6 +48,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
 
+import numpy as np
+
 from multfiber.counting import _exact_quotient, rising_span
 from multfiber.errors import (
     DegreeTooSmallError,
@@ -55,7 +62,7 @@ from multfiber.errors import (
 from multfiber.exactnum import ONE, ZERO, GaussianRational, as_gaussian, reciprocal_shift
 from multfiber.lattice import BlockPartition, Lattice, enumerate_lattice
 from multfiber.polyfam import coarsening_sum
-from multfiber.spectrum import Spectrum, from_shifts
+from multfiber.spectrum import Spectrum, _spectrum, from_shifts
 
 MAX_LISTED_BLOCKS = 11  # Bell(11) = 678,570 partitions: about 2 s to list
 
@@ -133,12 +140,16 @@ def doubling_zero_sum_subsets(spec) -> list[int]:
 
 def restrict(spec, mask: int):
     """Sub-spectrum over the indices in a bitmask (bit i = index i)."""
-    return from_shifts(m for i, m in enumerate(spec.mu) if mask >> i & 1)
+    parts = [(r, s, spec.D) for i, (r, s) in enumerate(zip(spec.re, spec.im)) if mask >> i & 1]
+    return _spectrum(parts, "mu")
 
 
 def shift_key(spec) -> tuple:
-    """Multiset of shift values; cache key for sub-spectrum counts."""
-    return tuple(sorted(m.sort_key() for m in spec.mu))
+    """Multiset of shift values; cache key for sub-spectrum counts.
+
+    A spectrum's (D, re, im) are in lowest terms, so equal multisets give equal keys.
+    """
+    return spec.D, tuple(sorted(zip(spec.re, spec.im)))
 
 
 def refines(coarse: BlockPartition, fine: BlockPartition) -> bool:
@@ -345,6 +356,19 @@ def planted_spectrum(d: int, seed: int, radius: int = 3):
         assert total == (-one if k == d - 1 else ZERO), (k, total)
         powers = [p * z for p, z in zip(powers, zeta)]
     return from_shifts(mu), tuple(zeta)
+
+
+def jacobian(system, Z):
+    """The Jacobian of ``system`` at each row of Z (shape (B, d)), shape (B, d, d):
+    d/dzeta_j of equation k is k * mu_j * zeta_j^(k-1)."""
+    B, d = Z.shape
+    J = np.empty((B, d, d), dtype=complex)
+    J[:, 0, :] = 1.0
+    P = np.ones_like(Z)
+    for k in range(1, d):
+        J[:, k, :] = k * system.mu * P
+        P = P * Z
+    return J
 
 
 # --- the parse that spectrum_from_obj replaced --------------------------------------

@@ -261,6 +261,15 @@ def test_verify_short_run_with_a_class_swap_closes_the_orbit():
     assert (doc["found_tuples"], doc["mc_orbits"]) == ("2", "1")
 
 
+def test_verify_nearly_equal_shifts_exits_zero():
+    # zeta and -zeta are two polynomials here, not one orbit of size 2
+    code, out, err = run_cli("verify", '{"mu":["1","1000001/1000000","-2000001/1000000"]}')
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["status"] == "verified"
+    assert (doc["found_tuples"], doc["mc_orbits"], doc["expected_orbits"]) == ("2", "2", "2")
+
+
 def test_verify_zero_fiber_with_empty_budget_is_incomplete():
     # no starts is no evidence, even where nothing is to be found
     code, out, _ = run_cli(
