@@ -8,7 +8,6 @@ through independent exact routes, and cross-checks the results with a
 floating-point polynomial-system solver.
 """
 
-from .exactnum import GaussianRational, as_gaussian, multiplier_from_shift, reciprocal_shift
 from .spectrum import (
     Spectrum,
     ValueClasses,
@@ -66,10 +65,6 @@ def __getattr__(name):
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussianRational",
-    "as_gaussian",
-    "reciprocal_shift",
-    "multiplier_from_shift",
     "Spectrum",
     "ValueClasses",
     "validate",

@@ -55,8 +55,11 @@ def _read_json(source: str):
 def _emit(document: dict, path: str | None) -> None:
     text = json.dumps(document, indent=2) + "\n"
     if path and path != "-":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}")
     else:
         sys.stdout.write(text)
 

@@ -55,7 +55,8 @@ class DimensionCapError(InputError):
     """Work above a fixed limit, refused before it starts.
 
     The limits: scan degree (``lattice.MAX_SCAN_DEGREE``, which bounds the
-    half-sum lists of the meet-in-the-middle scan), block pairs
+    half-sum lists of the meet-in-the-middle scan and the degree of a
+    generated spectrum), block pairs
     (``lattice.MAX_PAIR_WORK``, checked by the scan from its count of
     zero-sum subsets and again per lowest bit), partitions the lattice builds
     (``lattice.MAX_PARTITIONS``), the states of a size vector's or a whole

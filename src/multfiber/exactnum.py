@@ -1,25 +1,19 @@
-"""Exact Gaussian rationals Q(i): the literal grammar and the field arithmetic.
+"""The literal form of exact Gaussian rationals Q(i).
 
-A literal is ``p``, ``p/q``, ``ri`` or ``p/q+r/si``: optional surrounding
-whitespace, decimal digits, a sign before a term, and a lowercase i after
-the imaginary term.  ``parse_literal`` splits one into integers, and both
-``GaussianRational.parse`` and the spectrum parser read it that way.  The
-spectrum parser stops at integers: a spectrum holds its shifts over one
-common denominator, so its zero-sum tests are integer sums.
-``GaussianRational`` carries the exact views of a spectrum (shifts and
-multipliers as numbers) and their written form.  Its components are
-``fractions.Fraction`` (reduced, positive denominator, arbitrary
-precision); values are immutable and hashable, and equality is
-componentwise exact equality.
+An exact value is the integer triple (x, y, n), the Gaussian rational
+(x + y i) / n with n > 0; a spectrum's shift and multiplier views are
+triples in lowest terms.  A literal is ``p``, ``p/q``, ``ri`` or
+``p/q+r/si``: optional surrounding whitespace, decimal digits, a sign
+before a term, and a lowercase i after the imaginary term.
+``parse_literal`` reads one into a triple and ``format_literal`` writes a
+triple back in lowest terms, each part as ``p`` or ``p/q``.
+``gaussian_parts`` takes a literal, a triple or a real number to a triple.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
-from .errors import UnitMultiplierError
-from .frozen import Frozen
+from math import gcd, lcm
+from operator import index
 
 
 def _terms(text: str, *terms: str) -> list[tuple[int, int]]:
@@ -58,154 +52,39 @@ def parse_literal(text: str) -> tuple[int, int, int]:
     return p * (n // q), r * (n // s), n
 
 
-class GaussianRational(Frozen):
-    """A complex number with exact rational real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        super().__init__(Fraction(re), Fraction(im))
-
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def parse(cls, text: str) -> "GaussianRational":
-        """Parse ``p/q``, ``p``, ``ri`` or ``p/q+r/si`` (see ``parse_literal``)."""
-        x, y, n = parse_literal(text)
-        return cls(Fraction(x, n), Fraction(y, n))
-
-    # -- arithmetic -------------------------------------------------------
-
-    def _coerce(self, other) -> "GaussianRational | None":
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(Fraction(other))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        norm = other.norm()
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        """Exact squared modulus re^2 + im^2."""
-        return self.re * self.re + self.im * self.im
-
-    # -- predicates and conversions --------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
-
-    def sort_key(self) -> tuple[Fraction, Fraction]:
-        return (self.re, self.im)
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
-    def __repr__(self) -> str:
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+def _ratio(p: int, q: int) -> str:
+    g = gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
-Scalar = int | Fraction | str | GaussianRational
+def format_literal(x: int, y: int, n: int) -> str:
+    """(x + y i) / n, n > 0, as the literal ``p``, ``p/q``, ``p+ri`` or ``p/q-r/si``.
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
-
-
-def as_gaussian(value: Scalar) -> GaussianRational:
-    """Coerce an int, Fraction, literal string or GaussianRational."""
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, str):
-        return GaussianRational.parse(value)
-    return GaussianRational(Fraction(value))
+    Each part is in lowest terms, and a zero real part is written when the
+    imaginary part is not zero (``0+1i``).  Raises ``ValueError`` for a
+    part past the interpreter's integer-string limit.
+    """
+    if not y:
+        return _ratio(x, n)
+    return f"{_ratio(x, n)}{'+' if y > 0 else '-'}{_ratio(abs(y), n)}i"
 
 
-def gaussian_parts(value: Scalar) -> tuple[int, int, int]:
+def gaussian_parts(value) -> tuple[int, int, int]:
     """``value`` as integers (x, y, n), the Gaussian rational (x + y i) / n with n > 0.
 
-    Takes what ``as_gaussian`` takes; a literal string is read by
-    ``parse_literal`` and no ``Fraction`` is built.
+    Takes a literal string (read by ``parse_literal``), a triple (x, y, n)
+    of ints with n > 0, a real number with ``as_integer_ratio`` (an int,
+    a float exactly, a rational) or any other integer, such as a numpy
+    integer; nan and inf raise ``ValueError`` and ``OverflowError``,
+    anything else ``TypeError``.
     """
     if isinstance(value, str):
         return parse_literal(value)
-    if isinstance(value, GaussianRational):
-        (a, b), (c, d) = value.re.as_integer_ratio(), value.im.as_integer_ratio()
-        return a * d, c * b, b * d
-    if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)  # a float exactly; refuses nan and inf
-    return value.numerator, 0, value.denominator
-
-
-def reciprocal_shift(multiplier: Scalar) -> GaussianRational:
-    """Map a fixed-point multiplier m to its shift 1/(1-m).
-
-    The shift is the coordinate in which all block conditions become plain
-    zero sums.  m = 1 corresponds to a multiple fixed point and has no
-    shift.  The spectrum parser makes its own check, which names the index.
-    """
-    m = as_gaussian(multiplier)
-    if m == ONE:
-        raise UnitMultiplierError("multiplier 1 has no reciprocal shift")
-    return ONE / (ONE - m)
-
-
-def multiplier_from_shift(shift: Scalar) -> GaussianRational:
-    """Inverse of :func:`reciprocal_shift`: shift s maps back to 1 - 1/s."""
-    s = as_gaussian(shift)
-    return ONE - ONE / s
+    if isinstance(value, tuple):
+        if len(value) != 3 or any(type(v) is not int for v in value) or value[2] <= 0:
+            raise ValueError(f"not a Gaussian rational triple (x, y, n > 0): {value!r}")
+        return value
+    if hasattr(value, "as_integer_ratio"):
+        p, q = value.as_integer_ratio()
+        return p, 0, q
+    return index(value), 0, 1

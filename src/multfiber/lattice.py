@@ -28,13 +28,9 @@ from __future__ import annotations
 from collections import Counter
 from itertools import compress, islice, repeat
 from math import comb
-from typing import TYPE_CHECKING, Iterator
 
 from .errors import DimensionCapError
 from .frozen import Frozen
-
-if TYPE_CHECKING:
-    from .spectrum import Spectrum
 
 MAX_SCAN_DEGREE = 38  # 2 * 2^19 half sums: about 0.5 s and 100 MB
 MAX_PAIR_WORK = 10**8  # block pairs: about 10 s of counting at 100 ns each

@@ -7,28 +7,30 @@ D: mu_i = (re[i] + im[i] i) / D, so equal spectra have equal fields.  The
 parser reads each literal into integers (``exactnum.parse_literal``) and
 takes 1/(1-lambda) over the Gaussian integers; every count, zero-sum test
 and value class then reads the integers ``re`` and ``im`` alone.  ``mu``
-and ``lam`` are exact ``GaussianRational`` views, built when read.
-Instances are immutable and freely shareable.
+and ``lam`` are exact views, built when read: each value a triple
+(x, y, n), the Gaussian rational (x + y i) / n in lowest terms (see
+``exactnum``).  Instances are immutable and freely shareable.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .errors import (
     BlockSumError,
     DegreeTooSmallError,
+    DimensionCapError,
     ExactShapeError,
     OffHyperplaneError,
     SpectrumFormatError,
     UnitMultiplierError,
     ZeroShiftTargetError,
 )
-from .exactnum import GaussianRational, as_gaussian, gaussian_parts, multiplier_from_shift
+from .exactnum import format_literal, gaussian_parts
 from .frozen import Frozen
+from .lattice import MAX_SCAN_DEGREE, zero_sum_subsets
 
 
 class Spectrum(Frozen):
@@ -45,15 +47,19 @@ class Spectrum(Frozen):
         return len(self.re)
 
     @property
-    def mu(self) -> tuple[GaussianRational, ...]:
-        D = self.D
-        return tuple(
-            GaussianRational(Fraction(r, D), Fraction(s, D)) for r, s in zip(self.re, self.im)
-        )
+    def mu(self) -> tuple[tuple[int, int, int], ...]:
+        """Each shift (r + s i) / D as a triple in lowest terms."""
+        return tuple(_lowest(r, s, self.D) for r, s in zip(self.re, self.im))
 
     @property
-    def lam(self) -> tuple[GaussianRational, ...]:
-        return tuple(multiplier_from_shift(m) for m in self.mu)
+    def lam(self) -> tuple[tuple[int, int, int], ...]:
+        """Each multiplier 1 - 1/mu = (N - D r + D s i) / N, N = r^2 + s^2, in lowest terms."""
+        D = self.D
+        return tuple(
+            _lowest(N - D * r, D * s, N)
+            for r, s in zip(self.re, self.im)
+            for N in (r * r + s * s,)
+        )
 
     def permuted(self, order: tuple[int, ...]) -> "Spectrum":
         return Spectrum(self.D, tuple(self.re[i] for i in order), tuple(self.im[i] for i in order))
@@ -79,6 +85,11 @@ def group_order(sizes) -> int:
 
 # Each value below is a Gaussian rational as integers (x, y, n): (x + y i) / n, n > 0.
 
+def _lowest(x: int, y: int, n: int) -> tuple[int, int, int]:
+    g = gcd(x, y, n)
+    return x // g, y // g, n // g
+
+
 def _shift_vector(values, shift, what: str, min_len=2, error=OffHyperplaneError) -> Spectrum:
     """``shift(i, v)`` over ``values``: checks the count first, the zero sum last."""
     if len(values) < min_len:
@@ -88,8 +99,11 @@ def _shift_vector(values, shift, what: str, min_len=2, error=OffHyperplaneError)
     re = [x * (D // n) for x, _, n in shifts]
     im = [y * (D // n) for _, y, n in shifts]
     if sum(re) or sum(im):
-        total = GaussianRational(Fraction(sum(re), D), Fraction(sum(im), D))
-        raise error(f"{what} sum to {total}, not 0")
+        try:
+            verdict = f"sum to {format_literal(sum(re), sum(im), D)}, not 0"
+        except ValueError:  # a part past the int-to-string digit limit
+            verdict = "do not sum to 0"
+        raise error(f"{what} {verdict}")
     g = gcd(D, *re, *im)  # above 1 only when some shift was not in lowest terms
     return Spectrum(D // g, tuple(v // g for v in re), tuple(v // g for v in im))
 
@@ -99,9 +113,7 @@ def _shift_of_multiplier(i: int, v: tuple[int, int, int]) -> tuple[int, int, int
     x, y, n = v
     a = n - x
     if y:
-        re, im, N = n * a, n * y, a * a + y * y
-        g = gcd(re, im, N)
-        return re // g, im // g, N // g
+        return _lowest(n * a, n * y, a * a + y * y)
     if not a:
         raise UnitMultiplierError(f"multiplier at index {i} equals 1")
     return (n, 0, a) if a > 0 else (-n, 0, -a)
@@ -144,20 +156,21 @@ TARGET_BOUND = 20  # numerator and denominator bound of random shift targets
 EXACT_TRIES = 500  # redraws before ``generate(exact=True)`` gives up
 
 
-def _random_nonzero_fraction(rng: random.Random) -> Fraction:
+def _random_nonzero_fraction(rng: random.Random) -> tuple[int, int, int]:
     num = rng.randint(-TARGET_BOUND, TARGET_BOUND)
     while num == 0:
         num = rng.randint(-TARGET_BOUND, TARGET_BOUND)
-    return Fraction(num, rng.randint(1, TARGET_BOUND))
+    return num, 0, rng.randint(1, TARGET_BOUND)
 
 
 def _draw_block(rng: random.Random, size: int) -> list[tuple[int, int, int]]:
     """Random zero-sum block of nonzero rational shift targets."""
     while True:
         head = [_random_nonzero_fraction(rng) for _ in range(size - 1)]
-        last = -sum(head)
-        if last != 0:
-            return [gaussian_parts(v) for v in (*head, last)]
+        n = lcm(*[q for _, _, q in head])
+        last = -sum(p * (n // q) for p, _, q in head)
+        if last:
+            return [*head, (last, 0, n)]
 
 
 def generate(plan, *, seed: int = 0, exact: bool = False) -> Spectrum:
@@ -170,6 +183,8 @@ def generate(plan, *, seed: int = 0, exact: bool = False) -> Spectrum:
     seed.  Accidental zero sums may add extra lattice elements; with
     ``exact=True`` candidates are redrawn, at most ``EXACT_TRIES`` times,
     until the zero-sum subsets are precisely the unions of whole plan blocks.
+    A plan of total degree above ``lattice.MAX_SCAN_DEGREE``, which no
+    command reads, raises ``DimensionCapError`` before any draw.
     """
     rng = random.Random(seed)
     fixed: list[list[tuple[int, int, int]] | None] = []
@@ -191,6 +206,8 @@ def generate(plan, *, seed: int = 0, exact: bool = False) -> Spectrum:
             sizes.append(len(targets))
     if not sizes:
         raise DegreeTooSmallError("empty plan")
+    if sum(sizes) > MAX_SCAN_DEGREE:
+        raise DimensionCapError(f"degree {sum(sizes)} above the scan limit {MAX_SCAN_DEGREE}")
 
     has_random = any(b is None for b in fixed)
 
@@ -201,8 +218,6 @@ def generate(plan, *, seed: int = 0, exact: bool = False) -> Spectrum:
         spec = _spectrum(targets, "mu")
         if not exact:
             return spec
-        from .lattice import zero_sum_subsets
-
         # the 2^B - 2 proper nonempty unions of whole plan blocks are always
         # zero-sum, so the zero-sum subsets are exactly those iff they are as many
         if len(zero_sum_subsets(spec)) == 2 ** len(sizes) - 2:
@@ -223,7 +238,7 @@ def spectrum_to_obj(spec: Spectrum) -> dict:
     raises ``SpectrumFormatError``.
     """
     try:
-        return {"d": spec.d, "lambda": [str(v) for v in spec.lam]}
+        return {"d": spec.d, "lambda": [format_literal(*v) for v in spec.lam]}
     except ValueError:  # only the int-to-string digit limit raises here
         raise SpectrumFormatError(
             f"a multiplier has more than {sys.get_int_max_str_digits()} digits,"
@@ -231,13 +246,13 @@ def spectrum_to_obj(spec: Spectrum) -> dict:
         ) from None
 
 
-def scalars_from_obj(values, what: str, convert=as_gaussian) -> list:
-    """A JSON list of scalars (literal strings, integers, floats), each read by ``convert``."""
+def scalars_from_obj(values, what: str) -> list[tuple[int, int, int]]:
+    """A JSON list of scalars (literal strings, integers, floats) as ``gaussian_parts`` triples."""
     # JSON true/false decode as bool, a subclass of int: not scalars here
     if not isinstance(values, list) or any(type(v) not in (str, int, float) for v in values):
         raise SpectrumFormatError(f"{what} must be a list of scalars")
     try:
-        return [convert(v) for v in values]
+        return [gaussian_parts(v) for v in values]
     except (ValueError, OverflowError) as exc:  # OverflowError: 1e400 is inf
         raise SpectrumFormatError(str(exc)) from None
 
@@ -249,7 +264,7 @@ def spectrum_from_obj(obj) -> Spectrum:
     keys = [k for k in ("lambda", "mu") if k in obj]
     if len(keys) != 1:
         raise SpectrumFormatError('exactly one of "lambda" or "mu" is required')
-    parsed = scalars_from_obj(obj[keys[0]], f'"{keys[0]}"', gaussian_parts)
+    parsed = scalars_from_obj(obj[keys[0]], f'"{keys[0]}"')
     d = obj.get("d", len(parsed))
     if type(d) is not int or d != len(parsed):
         raise SpectrumFormatError(f'"d" must be the integer {len(parsed)}; got {d!r}')

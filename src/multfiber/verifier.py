@@ -154,17 +154,11 @@ class VerificationReport(SolveResult):
 def _complex_values(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     """mu and lambda as complex arrays, refusing a value beyond the float range.
 
-    Each part is one correctly rounded integer division: mu = (r + s i)/D and
-    lambda = 1 - 1/mu = (N - D r + D s i)/N with N = r^2 + s^2.
+    Each part of each exact view (x, y, n) is one correctly rounded integer
+    division, x/n or y/n.
     """
-    D = spec.D
     try:
-        mu = [complex(r / D, s / D) for r, s in zip(spec.re, spec.im)]
-        lam = [
-            complex((n - D * r) / n, D * s / n)
-            for r, s in zip(spec.re, spec.im)
-            for n in (r * r + s * s,)
-        ]
+        mu, lam = ([complex(x / n, y / n) for x, y, n in v] for v in (spec.mu, spec.lam))
         return np.array(mu), np.array(lam)
     except OverflowError:
         raise DimensionCapError("a shift or multiplier above the float range 1.8e308") from None

@@ -19,6 +19,15 @@ over the partitions.  The lattice order they need (``refines``,
 ``inner_block_count``, ``strict_refinements``) and the sub-spectrum helpers
 (``restrict``, ``shift_key``) live here with them.
 
+The package's exact values are integer triples (x, y, n), the Gaussian
+rational (x + y i) / n.  ``GaussianRational`` is the field Q(i) on
+``Fraction`` parts that the tests compute with and check those triples
+against: ``as_gaussian`` reads a literal, a real number or a triple into
+one, ``parts`` writes one back as a triple in lowest terms, ``str`` is the
+written form ``multfiber.exactnum.format_literal`` must match, and
+``reciprocal_shift`` and ``multiplier_from_shift`` map lambda to
+mu = 1/(1-lambda) and back.
+
 ``multfiber.spectrum.spectrum_from_obj`` reads each literal into integers
 and takes 1/(1-lambda) over the Gaussian integers.  ``fraction_shifts_from_obj``
 is the parse it replaced: every scalar a ``GaussianRational``, every shift a
@@ -59,12 +68,150 @@ from multfiber.errors import (
     UnitMultiplierError,
     ZeroShiftTargetError,
 )
-from multfiber.exactnum import ONE, ZERO, GaussianRational, as_gaussian, reciprocal_shift
+from multfiber.exactnum import parse_literal
+from multfiber.frozen import Frozen
 from multfiber.lattice import BlockPartition, Lattice, enumerate_lattice
 from multfiber.polyfam import coarsening_sum
 from multfiber.spectrum import Spectrum, _spectrum, from_shifts
 
 MAX_LISTED_BLOCKS = 11  # Bell(11) = 678,570 partitions: about 2 s to list
+
+
+# --- exact Gaussian rationals on Fractions ------------------------------------------
+
+
+class GaussianRational(Frozen):
+    """A complex number with exact rational real and imaginary parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        super().__init__(Fraction(re), Fraction(im))
+
+    @classmethod
+    def parse(cls, text: str) -> "GaussianRational":
+        """Parse ``p/q``, ``p``, ``ri`` or ``p/q+r/si`` (see ``parse_literal``)."""
+        x, y, n = parse_literal(text)
+        return cls(Fraction(x, n), Fraction(y, n))
+
+    def parts(self) -> tuple[int, int, int]:
+        """The triple (x, y, n), (x + y i) / n in lowest terms."""
+        (a, b), (c, d) = self.re.as_integer_ratio(), self.im.as_integer_ratio()
+        n = lcm(b, d)
+        return a * (n // b), c * (n // d), n
+
+    def _coerce(self, other) -> "GaussianRational | None":
+        if isinstance(other, GaussianRational):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(Fraction(other))
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return GaussianRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return GaussianRational(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return GaussianRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        norm = other.norm()
+        if norm == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return GaussianRational(
+            (self.re * other.re + self.im * other.im) / norm,
+            (self.im * other.re - self.re * other.im) / norm,
+        )
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def norm(self) -> Fraction:
+        """Exact squared modulus re^2 + im^2."""
+        return self.re * self.re + self.im * self.im
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def sort_key(self) -> tuple[Fraction, Fraction]:
+        return (self.re, self.im)
+
+    def __complex__(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+    def __str__(self) -> str:
+        if self.im == 0:
+            return str(self.re)
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
+
+    def __repr__(self) -> str:
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+Scalar = int | Fraction | str | tuple | GaussianRational
+
+ZERO = GaussianRational(0)
+ONE = GaussianRational(1)
+I = GaussianRational(0, 1)
+
+
+def as_gaussian(value: Scalar) -> GaussianRational:
+    """Coerce an int, Fraction, literal string, triple (x, y, n) or GaussianRational."""
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, str):
+        return GaussianRational.parse(value)
+    if isinstance(value, tuple):
+        x, y, n = value
+        return GaussianRational(Fraction(x, n), Fraction(y, n))
+    return GaussianRational(Fraction(value))
+
+
+def reciprocal_shift(multiplier: Scalar) -> GaussianRational:
+    """Map a fixed-point multiplier m to its shift 1/(1-m); m = 1 has none."""
+    m = as_gaussian(multiplier)
+    if m == ONE:
+        raise UnitMultiplierError("multiplier 1 has no reciprocal shift")
+    return ONE / (ONE - m)
+
+
+def multiplier_from_shift(shift: Scalar) -> GaussianRational:
+    """Inverse of :func:`reciprocal_shift`: shift s maps back to 1 - 1/s."""
+    return ONE - ONE / as_gaussian(shift)
 
 
 @lru_cache(maxsize=None)
@@ -126,13 +273,14 @@ def doubling_zero_sum_subsets(spec) -> list[int]:
     """``zero_sum_subsets`` by the packed sums of all 2^d subsets, ascending."""
     # Clear denominators and pack each shift as re*k + im; |subset im sum|
     # < k/2, so a packed sum is 0 exactly when both parts are.
+    mu = [as_gaussian(m) for m in spec.mu]
     denom = 1
-    for m in spec.mu:
+    for m in mu:
         denom = lcm(denom, m.re.denominator, m.im.denominator)
-    ims = [int(m.im * denom) for m in spec.mu]
+    ims = [int(m.im * denom) for m in mu]
     k = 2 * sum(map(abs, ims)) + 1
     sums = [0]  # sums[mask] is the packed sum over mask
-    for m, im in zip(spec.mu, ims):
+    for m, im in zip(mu, ims):
         v = int(m.re * denom) * k + im
         sums += [s + v for s in sums]
     return [mask for mask in range(1, len(sums) - 1) if not sums[mask]]
@@ -303,10 +451,7 @@ def groebner_tuple_count(spec) -> int:
     d = spec.d
     zeta = symbols(f"z0:{d}")
     t = symbols("t")
-    mu = [
-        Rational(m.re.numerator, m.re.denominator) + I * Rational(m.im.numerator, m.im.denominator)
-        for m in spec.mu
-    ]
+    mu = [Rational(x, n) + I * Rational(y, n) for x, y, n in spec.mu]
     eqs = [sum(zeta)] + [sum(m * z**k for m, z in zip(mu, zeta)) for k in range(1, d - 1)]
     eqs.append(sum(m * z ** (d - 1) for m, z in zip(mu, zeta)) + 1)
     eqs.append(t * prod(zeta[i] - zeta[j] for i in range(d) for j in range(i + 1, d)) - 1)
@@ -355,7 +500,7 @@ def planted_spectrum(d: int, seed: int, radius: int = 3):
         total = sum((m * p for m, p in zip(mu, powers)), ZERO)
         assert total == (-one if k == d - 1 else ZERO), (k, total)
         powers = [p * z for p, z in zip(powers, zeta)]
-    return from_shifts(mu), tuple(zeta)
+    return from_shifts([m.parts() for m in mu]), tuple(zeta)
 
 
 def jacobian(system, Z):

@@ -42,7 +42,7 @@ def test_benchmark_worker_calls(shifts):
     assert expected == report.e_I0
     result = mf.solve_system(spec, None, expected)
     assert len(result.tuples) == expected
-    lam = np.array([complex(v) for v in spec.lam])
+    lam = np.array([complex(x / n, y / n) for x, y, n in spec.lam])
     for t in result.tuples:
         assert np.abs(np.array(mf.forward_multipliers(t.zeta)) - lam).max() < 1e-8
     assert mf.orbit_count(result.tuples, classes) == report.mc_count

@@ -184,6 +184,23 @@ def test_gen_is_deterministic_and_feeds_count():
     assert json.loads(out3)["d"] == 5
 
 
+def test_gen_seeded_output_is_pinned():
+    # the exact text of two seeded runs: a change to how ``generate`` draws
+    # that moves a seed shows here
+    code, out, _ = run_cli("gen", "--plan", "[2,3]", "--seed", "42")
+    assert code == 0
+    assert out == (
+        '{\n  "d": 5,\n  "lambda": [\n    "4/5",\n    "6/5",\n    "28/19",\n'
+        '    "13/5",\n    "125/197"\n  ]\n}\n'
+    )
+    code, out, _ = run_cli("gen", "--plan", '[["1","-1"],3]', "--seed", "9", "--exact")
+    assert code == 0
+    assert out == (
+        '{\n  "d": 5,\n  "lambda": [\n    "0",\n    "2",\n    "-11/9",\n'
+        '    "-2",\n    "107/47"\n  ]\n}\n'
+    )
+
+
 def test_gen_sizes_only_plan():
     code, out, _ = run_cli("gen", "--plan", "[4]", "--seed", "1")
     assert code == 0
@@ -202,6 +219,9 @@ def test_gen_bad_plan():
     for extra in ([], ["--exact"]):
         code, _, err = run_cli("gen", "--plan", "[[],3]", *extra)
         assert code == 1 and "degree" in err
+    # no command reads a spectrum past the scan limit, so none is drawn
+    code, _, err = run_cli("gen", "--plan", "[100000000]")
+    assert code == 1 and err == "error: degree 100000000 above the scan limit 38\n"
 
 
 def test_gen_plan_scalars_are_checked_like_spectrum_scalars():
@@ -320,3 +340,11 @@ def test_output_file(tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["s_d"] == "1"
+
+
+def test_unwritable_output_exits_one_without_traceback(tmp_path):
+    for target in (tmp_path, tmp_path / "missing" / "report.json"):
+        code, out, err = run_cli("count", '{"mu":["1","-1"]}', "-o", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -1,16 +1,18 @@
-"""Exact Gaussian-rational arithmetic."""
+"""The literal form of exact values, and the Fraction-based field it is checked against."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from multfiber.errors import UnitMultiplierError
-from multfiber.exactnum import (
+from multfiber.exactnum import format_literal, gaussian_parts, parse_literal
+from reference import (
+    ONE,
     GaussianRational,
     I,
-    ONE,
     as_gaussian,
     multiplier_from_shift,
     reciprocal_shift,
@@ -20,6 +22,12 @@ fractions = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
 )
 gaussians = st.builds(GaussianRational, fractions, fractions)
+# (x, y, n) with n > 0, often not in lowest terms
+triples = st.tuples(
+    st.integers(-10**30, 10**30) | st.integers(-60, 60),
+    st.integers(-10**30, 10**30) | st.integers(-60, 60),
+    st.integers(1, 10**20) | st.integers(1, 60),
+)
 
 
 def test_basic_arithmetic_examples():
@@ -62,31 +70,54 @@ def test_division_inverts_multiplication(a):
     assert (a * b) / b == a
 
 
-@given(gaussians)
-def test_parse_format_round_trip(a):
-    assert GaussianRational.parse(str(a)) == a
+@given(triples)
+def test_parse_format_round_trip(t):
+    x, y, n = t
+    value = GaussianRational(Fraction(x, n), Fraction(y, n))
+    text = format_literal(*t)
+    assert text == str(value)
+    assert as_gaussian(parse_literal(text)) == value
+    assert parse_literal(text) == value.parts()  # written in lowest terms
 
 
 def test_parse_forms():
-    assert GaussianRational.parse("3") == as_gaussian(3)
-    assert GaussianRational.parse("-1/2") == GaussianRational(Fraction(-1, 2))
-    assert GaussianRational.parse("1/2+3i") == GaussianRational(
-        Fraction(1, 2), Fraction(3)
-    )
-    assert GaussianRational.parse("-2-1/3i") == GaussianRational(
-        Fraction(-2), Fraction(-1, 3)
-    )
-    assert GaussianRational.parse("0+1i") == I
+    assert parse_literal("3") == (3, 0, 1)
+    assert parse_literal("-1/2") == (-1, 0, 2)
+    assert parse_literal(" 2/4 ") == (2, 0, 4)  # read as written, not reduced
+    assert parse_literal("1/2+3i") == (1, 6, 2)
+    assert parse_literal("-2-1/3i") == (-6, -1, 3)
+    assert parse_literal("0+1i") == parse_literal("1i") == (0, 1, 1)
+    assert parse_literal("12i") == (0, 12, 1)
     for bad in ["", "i", "1/0", "1 + 2i", "2x"]:
         with pytest.raises(ValueError):
-            GaussianRational.parse(bad)
+            parse_literal(bad)
 
 
 def test_format_is_compact():
-    assert str(as_gaussian("1/2")) == "1/2"
-    assert str(as_gaussian(-3)) == "-3"
-    assert str(GaussianRational(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4i"
-    assert str(I) == "0+1i"
+    assert format_literal(1, 0, 2) == "1/2"
+    assert format_literal(-6, 0, 2) == "-3"
+    assert format_literal(0, 0, 7) == "0"
+    assert format_literal(2, -3, 4) == "1/2-3/4i"
+    assert format_literal(0, 1, 1) == "0+1i"
+    assert format_literal(4, 6, 2) == "2+3i"
+
+
+def test_gaussian_parts_takes_literals_triples_and_real_numbers():
+    assert gaussian_parts("1/2+3i") == (1, 6, 2)
+    assert gaussian_parts((2, -4, 6)) == (2, -4, 6)
+    assert gaussian_parts(3) == (3, 0, 1)
+    assert gaussian_parts(-0.75) == (-3, 0, 4)
+    assert gaussian_parts(Fraction(4, 6)) == (2, 0, 3)
+    assert gaussian_parts(np.int64(-5)) == (-5, 0, 1)
+    for bad in [(1, 2, 0), (1, 2, -3), (1, 2), (1, 2, 3, 4), (1.0, 0, 1), (True, 0, 1)]:
+        with pytest.raises(ValueError, match="not a Gaussian rational triple"):
+            gaussian_parts(bad)
+    with pytest.raises(ValueError):
+        gaussian_parts(float("nan"))
+    with pytest.raises(OverflowError):
+        gaussian_parts(float("inf"))
+    with pytest.raises(TypeError):
+        gaussian_parts(None)
 
 
 def test_reciprocal_shift_examples():

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import multfiber.lattice
 from multfiber.counting import fiber_report
 from multfiber.errors import DimensionCapError
-from multfiber.exactnum import ZERO, GaussianRational
 from multfiber.lattice import (
     BlockPartition,
     enumerate_lattice,
@@ -26,6 +25,9 @@ from multfiber.lattice import (
 )
 from multfiber.spectrum import from_shifts, generate
 from reference import (
+    ZERO,
+    GaussianRational,
+    as_gaussian,
     doubling_zero_sum_subsets,
     inner_block_count,
     refines,
@@ -35,7 +37,7 @@ from reference import (
 
 
 def brute_zero_sum_subsets(spec):
-    d, mu = spec.d, spec.mu  # mu is built on each read
+    d, mu = spec.d, [as_gaussian(m) for m in spec.mu]
     hits = []
     for r in range(1, d):
         for combo in itertools.combinations(range(d), r):
@@ -49,7 +51,7 @@ def brute_zero_sum_subsets(spec):
 
 def brute_partitions(spec):
     """All partitions of the index set whose blocks each sum to zero."""
-    d, mu = spec.d, spec.mu
+    d, mu = spec.d, [as_gaussian(m) for m in spec.mu]
     results = []
     blocks = []
 
@@ -125,7 +127,7 @@ def scan_spectra(draw):
         last = -sum(shifts, ZERO)
         assume(last)
         shifts.append(last)
-    return from_shifts(draw(st.permutations(shifts)))
+    return from_shifts([m.parts() for m in draw(st.permutations(shifts))])
 
 
 @settings(max_examples=150, deadline=None)
@@ -217,7 +219,7 @@ def test_lattice_matches_brute_force():
 
 def test_every_partition_block_sums_to_zero():
     spec = generate([2, 2, 2], seed=13)
-    mu = spec.mu
+    mu = [as_gaussian(m) for m in spec.mu]
     for part in enumerate_lattice(spec).partitions:
         for block in part.blocks:
             total = ZERO

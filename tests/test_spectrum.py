@@ -12,14 +12,15 @@ from multfiber.counting import fiber_report
 from multfiber.errors import (
     BlockSumError,
     DegreeTooSmallError,
+    DimensionCapError,
     ExactShapeError,
     OffHyperplaneError,
     SpectrumFormatError,
     UnitMultiplierError,
     ZeroShiftTargetError,
 )
-from multfiber.exactnum import ZERO, GaussianRational, as_gaussian, multiplier_from_shift
-from multfiber.lattice import zero_sum_subsets
+from multfiber.exactnum import format_literal
+from multfiber.lattice import MAX_SCAN_DEGREE, zero_sum_subsets
 from multfiber.spectrum import (
     Spectrum,
     from_shifts,
@@ -31,7 +32,12 @@ from multfiber.spectrum import (
     value_classes,
 )
 from reference import (
+    ONE,
+    ZERO,
+    GaussianRational,
+    as_gaussian,
     fraction_shifts_from_obj,
+    multiplier_from_shift,
     regex_literal,
     regex_misreads,
     restrict,
@@ -41,11 +47,11 @@ from reference import (
 
 
 def mus(spec):
-    return [str(m) for m in spec.mu]
+    return [format_literal(*m) for m in spec.mu]
 
 
 def lams(spec):
-    return [str(v) for v in spec.lam]
+    return [format_literal(*v) for v in spec.lam]
 
 
 def test_validate_simple():
@@ -96,7 +102,7 @@ def test_shift_sum_is_exactly_zero_for_generated():
         spec = generate([3, 2], seed=seed)
         total = ZERO
         for m in spec.mu:
-            total = total + m
+            total = total + as_gaussian(m)
         assert total == ZERO
 
 
@@ -154,6 +160,12 @@ def test_generate_plan_rejections():
         generate([["1"], 3])
     with pytest.raises(ZeroShiftTargetError):
         generate([["0"], 3])
+    # no command reads a spectrum past the scan limit, so none is drawn:
+    # a plan of 10^8 entries is refused at once
+    for plan in ([10**8], [MAX_SCAN_DEGREE, 2], [["1", "-1"], MAX_SCAN_DEGREE - 1]):
+        with pytest.raises(DimensionCapError, match=f"above the scan limit {MAX_SCAN_DEGREE}$"):
+            generate(plan, exact=True)
+    assert generate([MAX_SCAN_DEGREE - 2, 2], seed=1).d == MAX_SCAN_DEGREE
 
 
 def test_generate_is_deterministic_under_seed():
@@ -342,13 +354,30 @@ def test_parse_matches_the_fraction_parse(doc):
     assert error == ref_error
     if error is None:
         assert spec == spectrum_of_shifts(mu)
-        assert spec.mu == mu
-        assert spec.lam == tuple(multiplier_from_shift(m) for m in mu)
+        assert spec.mu == tuple(m.parts() for m in mu)
+        assert spec.lam == tuple(multiplier_from_shift(m).parts() for m in mu)
         classes = {}
         for i, m in enumerate(mu):
             classes.setdefault(m.sort_key(), []).append(i)
         assert value_classes(spec).classes == tuple(map(tuple, classes.values()))
         assert fiber_report(spec) == fiber_report(spectrum_of_shifts(mu))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(gaussian.filter(bool), min_size=1, max_size=6), st.booleans())
+def test_written_form_and_views_match_the_fraction_reference(head, rational):
+    if rational:
+        head = [GaussianRational(m.re) for m in head if m.re] or [ONE]
+    head = head + head[: len(head) // 2]  # some repeated values
+    mu = head + [-sum(head, ZERO)]
+    if not mu[-1]:
+        mu.pop()
+    spec = from_shifts([m.parts() for m in mu])
+    lam = [multiplier_from_shift(m) for m in mu]
+    assert spectrum_to_obj(spec) == {"d": len(mu), "lambda": [str(v) for v in lam]}
+    assert [as_gaussian(m) for m in spec.mu] == mu
+    assert [as_gaussian(v) for v in spec.lam] == lam
+    assert validate(spec.lam) == spec and from_shifts(spec.mu) == spec
 
 
 def test_parse_names_the_faulty_index_and_the_sum():
@@ -360,6 +389,9 @@ def test_parse_names_the_faulty_index_and_the_sum():
         spectrum_from_obj({"lambda": ["0", "2", "1+1i"]})
     with pytest.raises(OffHyperplaneError, match="^shifts sum to 3/4, not 0$"):
         spectrum_from_obj({"mu": ["1/2", "1/4"]})
+    # a sum past the int-to-string digit limit is not written out
+    with pytest.raises(OffHyperplaneError, match="^reciprocal shifts do not sum to 0$"):
+        spectrum_from_obj({"lambda": ["9" * 3000 + "+1i", "0", "1/2"]})
     with pytest.raises(DegreeTooSmallError, match="^need degree >= 2, got 1$"):
         spectrum_from_obj({"mu": ["1"]})
 

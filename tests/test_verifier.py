@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multfiber.counting import monic_centered_count
-from multfiber.exactnum import I, ZERO, as_gaussian
 from multfiber.errors import (
     CoincidentRootsError,
     DegreeTooSmallError,
@@ -35,7 +34,7 @@ from multfiber.verifier import (
     solve_system,
     verify_spectrum,
 )
-from reference import fiber_size_closed_form, jacobian, planted_spectrum
+from reference import I, ZERO, as_gaussian, fiber_size_closed_form, jacobian, planted_spectrum
 
 FIXTURE = ["0", "2", "1/2", "3/2"]
 
@@ -81,7 +80,7 @@ def step_cases(draw):
         head = [as_gaussian(draw(part) * unit) for _ in range(d - 1)]
     last = -sum(head, ZERO)
     assume(last)
-    return from_shifts(head + [last]), draw(st.integers(0, 2**32 - 1))
+    return from_shifts([m.parts() for m in head + [last]]), draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -133,10 +132,10 @@ def test_system_requires_degree_three():
 )
 def test_complex_values_are_the_rounded_exact_views(head):
     # one integer division per part rounds exactly as float() of each view part
-    spec = from_shifts(head + [-sum(head, ZERO)])
+    spec = from_shifts([m.parts() for m in head + [-sum(head, ZERO)]])
     try:
-        mu = [complex(m) for m in spec.mu]
-        lam = [complex(v) for v in spec.lam]
+        mu = [complex(as_gaussian(m)) for m in spec.mu]
+        lam = [complex(as_gaussian(v)) for v in spec.lam]
     except OverflowError:
         with pytest.raises(DimensionCapError, match="float range"):
             verifier._complex_values(spec)
@@ -155,7 +154,7 @@ def test_solve_fixture_counts_and_quality():
     spec = validate(FIXTURE)
     result = solve_system(spec)
     assert len(result.tuples) == 3
-    lam = [complex(v) for v in spec.lam]
+    lam = [complex(as_gaussian(v)) for v in spec.lam]
     for t in result.tuples:
         assert t.residual < 1e-10
         assert min(
@@ -198,7 +197,7 @@ def test_forward_multipliers_rejects_coincident_roots():
 def test_perturbation_degrades_multipliers():
     spec = validate(FIXTURE)
     base = np.asarray(solve_system(spec).tuples[0].zeta)
-    lam = [complex(v) for v in spec.lam]
+    lam = [complex(as_gaussian(v)) for v in spec.lam]
     clean = max(abs(m - l) for m, l in zip(forward_multipliers(base), lam))
     noisy_zeta = base.copy()
     noisy_zeta[0] += 1e-3  # a uniform shift would cancel in the differences
@@ -279,7 +278,7 @@ def near_equal_spectra(draw):
     head.append(draw(st.sampled_from(head)) * as_gaussian(1 + gap))
     values = head + [-sum(head, ZERO)]
     assume(values[-1] and _nearest_subset_sum(values) > 1e-2)
-    return from_shifts(values)
+    return from_shifts([v.parts() for v in values])
 
 
 @settings(max_examples=40, deadline=None)
@@ -688,7 +687,7 @@ def pooled_spectra(draw):
     head = values[: d - 1 - mirrored] + [-v for v in values[:mirrored]]
     last = -sum(head, ZERO)
     assume(last)
-    return from_shifts(head + [last])
+    return from_shifts([m.parts() for m in head + [last]])
 
 
 @settings(max_examples=40, deadline=None)
