@@ -13,16 +13,15 @@ a sum over the partitions of the index set into zero-sum blocks:
   product of (block size - 1)!.
 
 ``fiber_report`` evaluates both in one bottom-up pass over the zero-sum
-index masks (``mask_counts``), one row per mask and no partition, and that
-pass checks that they agree.  The closed form uses block sizes only, never
-a recursive weight, so the agreement is an independent check.
+class vectors (``class_counts``), one row per vector and no partition, and
+that pass checks that they agree.  The closed form uses block sizes only,
+never a recursive weight, so the agreement is an independent check.
 
 ``fiber_size`` (under either route name) and ``fiber_size_closed_form``
 return the checked count of that pass.  Their ``lat`` argument, like that
 of the discrete counts, is unused; it stays so that callers that pass the
-later arguments by position keep working.  The partition-lattice routes
-(sub-spectra, the walk over strict refinements, the listed signed sum)
-live in the tests as the slow references the mask pass is held to.
+later arguments by position keep working.  The same pass over index masks
+and the partition-lattice routes live in the tests as the references.
 
 Disagreement or a failed exact division is an internal error, never bad
 input.  From the multiplicity count the two discrete counts follow: the
@@ -36,8 +35,10 @@ arbitrary-precision integers, so concurrent evaluation is safe.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
-from math import factorial, gcd
+from itertools import accumulate, takewhile
+from math import comb, factorial, gcd
 
 from .errors import (
     DivisibilityError,
@@ -45,7 +46,7 @@ from .errors import (
     InvariantViolationError,
 )
 from .frozen import Frozen
-from .lattice import Lattice, group_by_low_bit, zero_sum_subsets
+from .lattice import Lattice, group_by_low_bit, packed_shifts, zero_sum_vectors
 from .spectrum import Spectrum, ValueClasses, group_order, value_classes
 
 ENGINES = ("subspectra", "refinement")
@@ -66,15 +67,15 @@ def _exact_quotient(total: int, divisor: int, what: str) -> int:
 # --- the checked count, by route name -------------------------------------------
 
 def fiber_size(spec: Spectrum, lat: Lattice | None = None, engine: str = "subspectra") -> int:
-    """Fiber cardinality with multiplicity from the mask pass; ``lat`` is unused."""
+    """Fiber cardinality with multiplicity from the class pass; ``lat`` is unused."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return mask_counts(spec)[0]
+    return class_counts(spec)[0]
 
 
 def fiber_size_closed_form(spec: Spectrum, lat: Lattice | None = None) -> int:
-    """Fiber cardinality with multiplicity from the mask pass; ``lat`` is unused."""
-    return mask_counts(spec)[0]
+    """Fiber cardinality with multiplicity from the class pass; ``lat`` is unused."""
+    return class_counts(spec)[0]
 
 
 # --- discrete counts ------------------------------------------------------------
@@ -109,7 +110,7 @@ def monic_centered_count(
 
     Equals (d-1) * fiber size divided by the value-class group order; the
     division is always exact, so a remainder signals a bug.  Without
-    ``size`` it comes from the mask pass; ``lat`` is unused.
+    ``size`` it comes from the class pass; ``lat`` is unused.
     """
     if size is None:
         return fiber_report(spec).mc_count
@@ -136,55 +137,70 @@ def conjugacy_count(
     return _conjugacy(size, classes.sizes)
 
 
-# --- one pass over the zero-sum masks ---------------------------------------------
+# --- one pass over the zero-sum class vectors -------------------------------------
 
-def mask_counts(spec: Spectrum) -> tuple[int, int, int]:
-    """Both formulas in one pass over the zero-sum masks, no partitions.
+def class_counts(spec: Spectrum, counts: Counter | None = None) -> tuple[int, int, int]:
+    """Both formulas in one pass over the zero-sum class vectors, no partitions.
 
+    ``counts`` is the class sizes by shift, ``Counter(packed_shifts(spec))``.
     Returns the count, checked to agree between the recursion and the
-    closed form, the number of partitions P (the one-block partition
-    included) and the number of zero-sum subsets Z.  A proper partition of
-    a mask B is its block b holding the lowest index of B with a partition
-    of B - b (zero-sum, smaller, visited earlier), so each is counted once.
-    One row (g, F, C) per mask: g[k] sums prod w(C) over the k-block
+    closed form, and the numbers P of partitions (the one-block partition
+    included) and Z of zero-sum subsets.  A row serves every set B of one
+    class vector v (``zero_sum_vectors``): a proper partition of B is its
+    block b holding a fixed index of v's first class i with a partition of
+    B - b (zero-sum, smaller, visited earlier).  There are
+    C(v_i - 1, u_i - 1) * prod_{j != i} C(v_j, u_j) blocks b of vector u,
+    and B - b has vector v ^ u with each repeated class's bits moved down by
+    u_j (Stanley, EC2 5.1).  g[k] sums prod w(C) over the k-block
     partitions and g[1] = w(B) = (|B|-1) * count; the signed sum is
     F(B) = (|B|-1)! - (d-1) * sum_b (|b|-1)! * F(B-b), d the full degree, and
-    C(B) = 1 + sum_b C(B-b).  ``group_by_low_bit`` bounds the pairs (b, B).
+    C(B) = 1 + sum_b C(B-b).  ``group_by_low_bit`` bounds the pairs (u, v).
     """
     d = spec.d
-    masks = zero_sum_subsets(spec) + [(1 << d) - 1]
+    counts = Counter(packed_shifts(spec)) if counts is None else counts
+    values, sizes = zip(*counts.most_common())  # largest first, so the repeated classes lead
+    vectors, zero_sum = zero_sum_vectors(values, sizes)
+    repeated = takewhile((1).__lt__, sizes)
+    fields = [((1 << m) - 1) << o for m, o in zip(repeated, accumulate(sizes, initial=0))]
     fact = [factorial(i) for i in range(d + 1)]
-    by_low = group_by_low_bit(masks)
+    by_low = group_by_low_bit(vectors)
 
     rows: dict[int, tuple[list[int], int, int]] = {}
-    # Ascending masks: every proper subset of a mask comes before it.
-    for mask in masks:
-        n = mask.bit_count()
+    # Ascending vectors: every u <= v comes before v.
+    for v in vectors:
+        n = v.bit_count()
         g = [0] * (n // 2 + 1)  # blocks have size >= 2, index = block count
         signed = count = 0
-        for b in by_low.get(mask & -mask, ()):
-            if b >= mask:
+        for u in by_low[v & -v]:
+            if u >= v:
                 break
-            if b & ~mask:
+            if u & ~v:
                 continue
-            wb = rows[b][0][1]
-            rg, rf, rc = rows[mask ^ b]
+            rest, ways = v ^ u, 1
+            for field in fields:
+                if f := rest & field:
+                    t = (u & field).bit_count()
+                    rest ^= f ^ (f >> t)
+                    fixed = bool(v & -v & field)  # the fixed index is in this class
+                    ways *= comb(t + f.bit_count() - fixed, t - fixed)
+            wb = rows[u][0][1] * ways
+            rg, rf, rc = rows[rest]
             for k in range(1, len(rg)):
                 g[k + 1] += wb * rg[k]
-            signed += fact[b.bit_count() - 1] * rf
-            count += rc
+            signed += fact[u.bit_count() - 1] * rf * ways
+            count += rc * ways
         sub = fact[n - 2] - sum(rising_span(n, k) * g[k] for k in range(2, len(g)))
         g[1] = (n - 1) * sub
-        rows[mask] = (g, fact[n - 1] - (d - 1) * signed, 1 + count)
+        rows[v] = (g, fact[n - 1] - (d - 1) * signed, 1 + count)
 
-    # The full mask came last, so sub is its count by the recursion.
-    _, signed, count = rows[masks[-1]]
+    # The full vector came last, so sub is its count by the recursion.
+    _, signed, count = rows[vectors[-1]]
     closed = _exact_quotient(signed, d - 1, "signed lattice sum")
     if sub != closed:
         raise EngineDisagreementError(
             f"count routes disagree: recursion {sub} != closed form {closed}"
         )
-    return sub, count, len(masks) - 1
+    return sub, count, zero_sum
 
 
 # --- aggregate report -------------------------------------------------------------
@@ -233,19 +249,20 @@ class FiberReport(Frozen):
 
 
 def fiber_report(spec: Spectrum) -> FiberReport:
-    """Count by the mask pass, which checks its two formulas agree; check the rest.
+    """Count by the class pass, which checks its two formulas agree; check the rest.
 
     The report derives the discrete counts from ``s_d`` and the class sizes,
     so the count's bounds and both exact divisions are checked here, before
     it is built.
     """
-    size, partitions, zero_sum = mask_counts(spec)
+    counts = Counter(packed_shifts(spec))
+    size, partitions, zero_sum = class_counts(spec, counts)
     d = spec.d
     if not 0 <= size <= factorial(d - 2):
         raise InvariantViolationError(
             f"count {size} outside [0, (d-2)!] for d={d}"
         )
-    sizes = value_classes(spec).sizes
+    sizes = tuple(counts.values())  # in order of first index, as ``value_classes``
     _monic_centered(d, size, sizes)
     _conjugacy(size, sizes)
     return FiberReport(size, bytes(sizes), partitions, zero_sum)

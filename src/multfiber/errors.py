@@ -56,15 +56,14 @@ class DimensionCapError(InputError):
 
     The limits: scan degree (``lattice.MAX_SCAN_DEGREE``, which bounds the
     half-sum lists of the meet-in-the-middle scan and the degree of a
-    generated spectrum), block pairs
-    (``lattice.MAX_PAIR_WORK``, checked by the scan from its count of
-    zero-sum subsets and again per lowest bit), partitions the lattice builds
-    (``lattice.MAX_PARTITIONS``), the states of a size vector's or a whole
-    sweep's coarsening passes, 3^l per vector of l blocks
-    (``polyfam.MAX_STATES``), the block count l of ``collapsed_poly``,
-    ``coarsening_value`` and the polynomial table (``polyfam.MAX_TABLE_L``),
-    the solver's degree cap and the float range of its shifts, multipliers
-    and start radius.
+    generated spectrum), pairs (``lattice.MAX_PAIR_WORK``, checked from the
+    count of zero-sum class vectors and again per lowest bit), partitions
+    the lattice builds (``lattice.MAX_PARTITIONS``, checked against the
+    counting pass's P), the states of a size vector's or a whole sweep's
+    coarsening passes, 3^l per vector of l blocks (``polyfam.MAX_STATES``),
+    the block count l of ``collapsed_poly``, ``coarsening_value`` and the
+    polynomial table (``polyfam.MAX_TABLE_L``), the solver's degree cap and
+    the float range of its shifts, multipliers and start radius.
     """
 
 

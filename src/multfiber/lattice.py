@@ -5,35 +5,34 @@ partition splits the full index set into disjoint blocks whose shift sums
 all vanish exactly; the lattice collects every such partition, including
 the trivial one-block partition, ordered by refinement.
 
-Enumeration runs in two stages.  A meet-in-the-middle scan builds the exact
-integer sums of the subsets of each index half by list doubling (a spectrum
-holds its shifts as integers over one denominator) and joins the halves
-whose sums cancel, so it builds at most 2 * 2^ceil(d/2) sums, not 2^d.
-Then an exact-cover search assembles partitions, always extending with the
-block containing the smallest uncovered index, which yields each
-partition exactly once and in canonical block order.  ``MAX_SCAN_DEGREE``
-bounds the scan and ``MAX_PAIR_WORK`` the block pairs that the cover search
-and the counting pass try; each raises ``DimensionCapError`` before its
-work.  The scan counts the zero-sum subsets Z before it builds a mask and
-refuses a Z whose block pairs must pass ``MAX_PAIR_WORK``.  No spectrum
-with d <= 16 reaches either limit: it has at most C(16, 8) zero-sum subsets
-(Littlewood-Offord).  ``MAX_PARTITIONS`` bounds the partitions the lattice
-builds (the counting pass builds none): the covers are counted first, and
-past the limit ``DimensionCapError`` comes before any partition is built.
+Whether a set is zero-sum depends only on its class vector: how many
+indices it takes from each class of equal shifts.  A meet-in-the-middle
+scan sums the class vectors of each half of the classes exactly (the
+shifts are integers over one denominator) and decodes only the vectors
+whose halves cancel: with distinct shifts, 2 * 2^ceil(d/2) sums, not 2^d.
+``zero_sum_subsets`` is the scan with each index its own class.  An
+exact-cover search assembles partitions, always extending with the block
+containing the smallest uncovered index, so each comes once and in
+canonical block order.  ``MAX_SCAN_DEGREE`` bounds the scan,
+``MAX_PAIR_WORK`` the pairs that the counting pass (vector pairs) and the
+cover search (block pairs) try, and ``MAX_PARTITIONS`` the partitions the
+lattice builds.  Each raises ``DimensionCapError`` before its work, from a
+count made first: of the zero-sum vectors, or P from the counting pass.
 Results are immutable and shareable.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, islice, repeat
+from collections.abc import Iterator
+from itertools import accumulate, compress, repeat
 from math import comb
 
 from .errors import DimensionCapError
 from .frozen import Frozen
 
-MAX_SCAN_DEGREE = 38  # 2 * 2^19 half sums: about 0.5 s and 100 MB
-MAX_PAIR_WORK = 10**8  # block pairs: about 10 s of counting at 100 ns each
+MAX_SCAN_DEGREE = 38  # each half at most 3 * 2^19 sums: under 1 s and 200 MB
+MAX_PAIR_WORK = 10**8  # pairs: about 10 s of counting at 100 ns each
 MAX_PARTITIONS = 10**6  # partitions the lattice builds: about 11 s and 300 MB
 
 
@@ -47,63 +46,89 @@ def mask_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def subset_sums(values) -> list[int]:
-    """sums[mask] is the sum of ``values`` over the bits of mask, by doubling."""
+def subset_sums(values, sizes=None) -> list[int]:
+    """sums[i] = sum of c_j * values[j], c_j <= sizes[j] (default 1) the mixed-radix digits of i."""
     sums = [0]
-    for v in values:
-        sums += [s + v for s in sums]
+    for v, m in zip(values, repeat(1) if sizes is None else sizes):
+        block = sums
+        for _ in range(m):  # the sums with digit c = 1, ..., m
+            sums += (block := [s + v for s in block])
     return sums
 
 
-def zero_sum_subsets(spec: "Spectrum") -> list[int]:
-    """All proper nonempty index sets with exactly vanishing shift sum.
+def packed_shifts(spec: "Spectrum") -> list[int]:
+    """The integer parts of each shift (all over one denominator) as re*k + im.
 
-    Every returned subset has size >= 2, because single shifts are nonzero.
-    Masks come in ascending order, so each follows all of its subsets.
-    Z + 1 masks (the full one too) with at most d lowest bits need at least
-    d * C(floor((Z+1)/d), 2) block pairs, so a Z past ``MAX_PAIR_WORK``
-    raises ``DimensionCapError`` before any mask is built.
+    |subset im sum| < k/2, so a packed sum is 0 exactly when both parts are.
     """
-    d = spec.d
-    if d > MAX_SCAN_DEGREE:
-        raise DimensionCapError(f"degree {d} above the scan limit {MAX_SCAN_DEGREE}")
-    # The shifts share one denominator, so pack the integer parts as
-    # re*k + im; |subset im sum| < k/2, so a packed sum is 0 exactly when
-    # both parts are.
     k = 2 * sum(map(abs, spec.im)) + 1
-    packed = [r * k + i for r, i in zip(spec.re, spec.im)]
-    # A mask is zero-sum when its low half's negated sum equals its high
-    # half's sum (Horowitz-Sahni): at most 2 * 2^ceil(d/2) sums, not 2^d.
-    h = d // 2
-    neg_low = subset_sums([-v for v in packed[:h]])
-    high = subset_sums(packed[h:])
+    return [r * k + i for r, i in zip(spec.re, spec.im)]
+
+
+def zero_sum_vectors(values, sizes) -> tuple[list[int], int]:
+    """The nonempty zero-sum class vectors, ascending, and Z.
+
+    Class j, ``sizes[j]`` copies of ``values[j]`` (sizes descending), owns
+    that many bits above the classes before it; a vector v is the mask of
+    the first v_j bits of each class, so u <= v is ``u & ~v == 0``.  The
+    full vector comes last; Z sums prod C(m_j, v_j) over the proper ones.
+    N + 1 vectors on r lowest bits need r * C(floor((N+1)/r), 2) pairs or
+    more, so an N past ``MAX_PAIR_WORK`` is refused before any is decoded.
+    """
+    if sum(sizes) > MAX_SCAN_DEGREE:
+        raise DimensionCapError(f"degree {sum(sizes)} above the scan limit {MAX_SCAN_DEGREE}")
+    # Zero-sum when the low classes' negated sum equals the high classes' sum
+    # (Horowitz-Sahni); the low half's vector count is at most the root of all.
+    prefix = list(accumulate(sizes, lambda n, m: n * (m + 1), initial=1))
+    h = sum(n * n <= prefix[-1] for n in prefix) - 1
+    neg_low = subset_sums([-v for v in values[:h]], sizes[:h])
+    high = subset_sums(values[h:], sizes[h:])
     buckets = Counter(neg_low)
-    found = sum(map(buckets.get, high, repeat(0)))  # the empty and full masks too
-    work = d * comb((found - 1) // d, 2)
+    found = sum(map(buckets.get, high, repeat(0)))  # the empty and full vectors too
+    work = len(sizes) * comb((found - 1) // len(sizes), 2)
     if work > MAX_PAIR_WORK:
         raise DimensionCapError(
-            f"{found - 2} zero-sum subsets need at least {work} block pairs, "
+            f"{found - 2} zero-sum class vectors need at least {work} block pairs, "
             f"above the pair-work limit {MAX_PAIR_WORK}"
         )
     hits = buckets.keys() & high
     low_by_sum: dict[int, list[int]] = {}
     for i in compress(range(len(neg_low)), map(hits.__contains__, neg_low)):
         low_by_sum.setdefault(neg_low[i], []).append(i)
-    # Ascending high halves, each with its ascending low halves: ascending masks.
-    masks = [
-        j << h | i
-        for j in compress(range(len(high)), map(hits.__contains__, high))
-        for i in low_by_sum[high[j]]
-    ]
-    return masks[1:-1]  # drop the empty and the full mask
+    repeated = sizes[: len(sizes) - sizes.count(1)]  # the size-1 classes come last, a bit each
+    vectors, zero_sum = [], -2  # the empty and the full vector are not proper
+    # Ascending high halves, each with its ascending low halves: ascending vectors.
+    for j in compress(range(len(high)), map(hits.__contains__, high)):
+        for i in low_by_sum[high[j]]:
+            i += j * len(neg_low)
+            v, ways, off = 0, 1, 0
+            for m in repeated:
+                i, c = divmod(i, m + 1)
+                v |= ((1 << c) - 1) << off
+                ways *= comb(m, c)
+                off += m
+            vectors.append(v | i << off)
+            zero_sum += ways
+    return vectors[1:], zero_sum
+
+
+def zero_sum_subsets(spec: "Spectrum") -> list[int]:
+    """All proper nonempty index sets with exactly vanishing shift sum.
+
+    The scan with every index its own class, so each vector is an index set.
+    Every returned subset has size >= 2, because single shifts are nonzero.
+    Masks come in ascending order, so each follows all of its subsets.
+    """
+    return zero_sum_vectors(packed_shifts(spec), [1] * spec.d)[0][:-1]
 
 
 def group_by_low_bit(masks: list[int]) -> dict[int, list[int]]:
     """Masks keyed by their lowest set bit, each list in the given order.
 
-    The cover search and the counting pass join only masks that share their
-    lowest bit, so they try at most W = sum of C(len(group), 2) pairs; W
-    above ``MAX_PAIR_WORK`` raises ``DimensionCapError``.
+    The cover search (index masks) and the counting pass (class vectors)
+    join only masks that share their lowest bit, so they try at most
+    W = sum of C(len(group), 2) pairs; W above ``MAX_PAIR_WORK`` raises
+    ``DimensionCapError``.
     """
     groups: dict[int, list[int]] = {}
     for mask in masks:
@@ -190,16 +215,14 @@ def _cover_partitions(by_low: dict[int, list[int]], full: int) -> Iterator[tuple
 
 def enumerate_lattice(spec: "Spectrum") -> Lattice:
     """Enumerate every partition of the index set into zero-sum blocks."""
+    from .counting import class_counts  # counting builds on this module
+    count = class_counts(spec)[1]  # P, before any mask is listed
+    if count > MAX_PARTITIONS:
+        raise DimensionCapError(f"{count} partitions above the partition limit {MAX_PARTITIONS}")
     d = spec.d
     subsets = zero_sum_subsets(spec)
     full = (1 << d) - 1
     by_low = group_by_low_bit(subsets + [full])  # whole set sums to zero
-    partitions = list(islice(_cover_partitions(by_low, full), MAX_PARTITIONS + 1))
-    if len(partitions) > MAX_PARTITIONS:
-        raise DimensionCapError(
-            f"more than {MAX_PARTITIONS} partitions, above the partition limit"
-        )
-    for i, blocks in enumerate(partitions):  # in place: each cover is freed as it goes
-        partitions[i] = BlockPartition(blocks)
+    partitions = [BlockPartition(blocks) for blocks in _cover_partitions(by_low, full)]
     partitions.sort(key=lambda p: (p.block_count, p.blocks))
     return Lattice(d, tuple(partitions), len(subsets))

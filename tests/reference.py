@@ -5,12 +5,15 @@ subsets of the blocks and never lists a partition.  The listing kept here,
 Bell(l) partitions cached per l, is what the tests check that recurrence
 against.
 
-``multfiber.lattice.zero_sum_subsets`` joins the subset sums of two index
-halves.  The scan kept here builds the exact sums of all 2^d subsets.
+``multfiber.lattice.zero_sum_vectors`` joins the sums of the class vectors
+of two halves of the value classes.  The scan kept here builds the exact
+sums of all 2^d index subsets.
 
-``multfiber.counting.mask_counts`` evaluates the paper's two formulas, the
+``multfiber.counting.class_counts`` evaluates the paper's two formulas, the
 sub-spectrum recursion and the closed form, in one pass over the zero-sum
-index masks.  The routes kept here walk the partition lattice of
+class vectors.  Two tiers of references sit below it.  ``mask_counts`` is
+the same pass over the zero-sum index masks, every index its own class.
+The routes kept here walk the partition lattice of
 ``multfiber.lattice.enumerate_lattice`` instead: ``fiber_size`` recurses
 into restricted sub-spectra (``subspectra``) or walks the strict
 refinements with falling-span weights (``refinement``, the only user of
@@ -63,6 +66,7 @@ from multfiber.counting import _exact_quotient, rising_span
 from multfiber.errors import (
     DegreeTooSmallError,
     DimensionCapError,
+    EngineDisagreementError,
     OffHyperplaneError,
     SpectrumFormatError,
     UnitMultiplierError,
@@ -70,7 +74,7 @@ from multfiber.errors import (
 )
 from multfiber.exactnum import parse_literal
 from multfiber.frozen import Frozen
-from multfiber.lattice import BlockPartition, Lattice, enumerate_lattice
+from multfiber.lattice import BlockPartition, Lattice, enumerate_lattice, group_by_low_bit
 from multfiber.polyfam import coarsening_sum
 from multfiber.spectrum import Spectrum, _spectrum, from_shifts
 
@@ -394,6 +398,51 @@ def fiber_size_closed_form(spec, lat=None) -> int:
         (-(d - 1)) ** (part.block_count - 1) * factorial_weight(part) for part in lat.partitions
     )
     return _exact_quotient(total, d - 1, "signed lattice sum")
+
+
+def mask_counts(spec) -> tuple[int, int, int]:
+    """``multfiber.counting.class_counts`` over index masks: (count, P, Z).
+
+    The pass with every index its own class: one row (g, F, C) per zero-sum
+    mask B, and a proper partition of B is its block b holding the lowest
+    index of B with a partition of B - b (zero-sum, smaller, visited
+    earlier).  g[k] sums prod w(C) over the k-block partitions and
+    g[1] = w(B) = (|B|-1) * count; F(B) = (|B|-1)! - (d-1) * sum_b (|b|-1)! * F(B-b);
+    C(B) = 1 + sum_b C(B-b).  The masks come from ``doubling_zero_sum_subsets``.
+    """
+    d = spec.d
+    masks = doubling_zero_sum_subsets(spec) + [(1 << d) - 1]
+    fact = [factorial(i) for i in range(d + 1)]
+    by_low = group_by_low_bit(masks)
+
+    rows: dict[int, tuple[list[int], int, int]] = {}
+    # Ascending masks: every proper subset of a mask comes before it.
+    for mask in masks:
+        n = mask.bit_count()
+        g = [0] * (n // 2 + 1)  # blocks have size >= 2, index = block count
+        signed = count = 0
+        for b in by_low.get(mask & -mask, ()):
+            if b >= mask:
+                break
+            if b & ~mask:
+                continue
+            wb = rows[b][0][1]
+            rg, rf, rc = rows[mask ^ b]
+            for k in range(1, len(rg)):
+                g[k + 1] += wb * rg[k]
+            signed += fact[b.bit_count() - 1] * rf
+            count += rc
+        sub = fact[n - 2] - sum(rising_span(n, k) * g[k] for k in range(2, len(g)))
+        g[1] = (n - 1) * sub
+        rows[mask] = (g, fact[n - 1] - (d - 1) * signed, 1 + count)
+
+    _, signed, count = rows[masks[-1]]
+    closed = _exact_quotient(signed, d - 1, "signed lattice sum")
+    if sub != closed:
+        raise EngineDisagreementError(
+            f"count routes disagree: recursion {sub} != closed form {closed}"
+        )
+    return sub, count, len(masks) - 1
 
 
 def expansion_in_factorial_weights(lat: Lattice) -> dict[BlockPartition, int]:

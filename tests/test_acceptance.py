@@ -13,12 +13,12 @@ from math import factorial
 import pytest
 
 import multfiber as mf
-from multfiber.counting import mask_counts
 from reference import (
     expansion_in_factorial_weights,
     factorial_weight,
     fiber_size,
     fiber_size_closed_form,
+    mask_counts,
     refines,
 )
 

@@ -4,6 +4,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
@@ -17,10 +18,10 @@ import multfiber.lattice
 import multfiber.spectrum
 from multfiber.counting import (
     FiberReport,
+    class_counts,
     class_gcds,
     conjugacy_count,
     fiber_report,
-    mask_counts,
     monic_centered_count,
 )
 from multfiber.errors import EngineDisagreementError
@@ -41,6 +42,7 @@ from reference import (
     fiber_size,
     fiber_size_closed_form,
     groebner_tuple_count,
+    mask_counts,
     refinement_weights,
     subspectra_weight,
 )
@@ -351,7 +353,7 @@ def test_refinement_weights_whole_table_consistent():
             assert value == subspectra_weight(spec, part)
 
 
-# --- the mask pass against the partition references -------------------------------
+# --- the class pass against the mask pass and the partition references ------------
 
 # small integer shifts make rich lattices; a few carry an imaginary part
 shift_values = st.builds(
@@ -377,6 +379,34 @@ def test_fiber_report_matches_partition_references(spec):
     assert report.engines == {"subspectra": count, "refinement": count, "closed_form": count}
     assert report.lattice_partitions == len(lat.partitions)
     assert report.zero_sum_subsets == lat.zero_sum_count
+
+
+# few values, each drawn often and some nudged by 10^-9: repeated and nearly repeated classes
+class_values = st.builds(
+    GaussianRational, st.sampled_from([Fraction(k, 2) for k in range(-4, 5)]), st.integers(-1, 1)
+).filter(bool)
+NUDGE = GaussianRational(Fraction(1, 10**9))
+
+
+@st.composite
+def class_spectra(draw, max_d=10):
+    """d <= 10 in shuffled order, each shift drawn from a pool of at most three values or nudged."""
+    pool = draw(st.lists(class_values, min_size=1, max_size=3))
+    value = st.sampled_from(pool)
+    head = draw(st.lists(value | value.map(NUDGE.__add__), min_size=1, max_size=max_d - 1))
+    last = -sum(head, ZERO)
+    assume(last)
+    return from_shifts([m.parts() for m in draw(st.permutations(head + [last]))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(class_spectra())
+def test_class_pass_matches_the_mask_pass_and_the_lattice(spec):
+    expected = mask_counts(spec)
+    assert class_counts(spec) == expected
+    lat = enumerate_lattice(spec)
+    assert all_routes(spec, lat) == (expected[0],) * 3
+    assert (len(lat.partitions), lat.zero_sum_count) == expected[1:]
 
 
 def test_fiber_report_builds_no_partition(monkeypatch):

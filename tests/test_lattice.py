@@ -7,6 +7,8 @@ via direct recursive set-partition enumeration with a per-block filter.
 
 import itertools
 import time
+import typing
+from collections.abc import Iterator
 from fractions import Fraction
 from math import factorial
 
@@ -107,7 +109,7 @@ def test_zero_sum_subsets_match_brute_force():
         from_shifts(["1i", "-1i", "2i", "-2i", "1", "-1"]),
     ]
     for spec in cases:
-        # ascending order is part of the contract: mask_counts relies on it
+        # ascending order is part of the contract: each mask follows its subsets
         assert zero_sum_subsets(spec) == brute_zero_sum_subsets(spec)
 
 
@@ -153,24 +155,35 @@ def test_dimension_cap(monkeypatch):
     # distinct powers of two: all 2^19 sums of each half differ
     report = fiber_report(from_shifts([2**i for i in range(37)] + [1 - 2**37]))
     assert (report.zero_sum_subsets, report.s_d) == (0, factorial(36))
-    # +-1 at d=30 has C(30, 15) - 2 zero-sum subsets: refused from the
-    # half-sum buckets, before the join builds a mask list (over 1 GB)
-    def no_join(*args):
-        raise AssertionError("the join started building masks")
+    # +-1 at d=30 has two classes and 16 class vectors, so it counts at once;
+    # its C(30, 15) - 2 zero-sum subsets are refused from the half-sum
+    # buckets before the join builds a mask (over 1 GB), and its lattice
+    # from P before the scan
+    def no_masks(*args):
+        raise AssertionError("a mask was built")
 
+    spec = from_shifts([1, -1] * 15)
+    start = time.perf_counter()
+    report = fiber_report(spec)
+    assert (report.s_d, report.lattice_partitions, report.zero_sum_subsets) == (
+        0,
+        2527342803112928081,
+        155117518,
+    )
     with monkeypatch.context() as patch:
-        patch.setattr(multfiber.lattice, "compress", no_join)
-        spec = from_shifts([1, -1] * 15)
-        for run in (fiber_report, enumerate_lattice):
-            start = time.perf_counter()
-            with pytest.raises(DimensionCapError, match="155117518 zero-sum subsets"):
-                run(spec)
-            assert time.perf_counter() - start < 1
-    # +-1 at d=18 has about 3.9e8 block pairs: refused before the work
-    spec = from_shifts([1, -1] * 9)
+        patch.setattr(multfiber.lattice, "compress", no_masks)
+        with pytest.raises(DimensionCapError, match="155117518 zero-sum class vectors"):
+            zero_sum_subsets(spec)
+    with monkeypatch.context() as patch:
+        patch.setattr(multfiber.lattice, "zero_sum_subsets", no_masks)
+        with pytest.raises(DimensionCapError, match="2527342803112928081 partitions"):
+            enumerate_lattice(spec)
+    assert time.perf_counter() - start < 1
+    # distinct +-1..+-10 at d=20 has about 1.45e8 block pairs: refused before the work
+    spec = from_shifts([s * i for i in range(1, 11) for s in (1, -1)])
     for run in (fiber_report, enumerate_lattice):
         start = time.perf_counter()
-        with pytest.raises(DimensionCapError):
+        with pytest.raises(DimensionCapError, match="144966601 block pairs"):
             run(spec)
         assert time.perf_counter() - start < 1
     # the lattice builds at most MAX_PARTITIONS partitions; +-1 at d=8 has
@@ -187,6 +200,11 @@ def test_dimension_cap(monkeypatch):
     monkeypatch.setattr(BlockPartition, "__init__", refuse)
     with pytest.raises(DimensionCapError):
         enumerate_lattice(spec)
+
+
+def test_cover_search_type_hints_resolve():
+    hints = typing.get_type_hints(multfiber.lattice._cover_partitions)
+    assert hints["return"] == Iterator[tuple[int, ...]]
 
 
 def test_enumerate_lattice_examples():
