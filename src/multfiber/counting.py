@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from itertools import accumulate, takewhile
 from math import comb, factorial, gcd
 
 from .errors import (
@@ -139,10 +138,9 @@ def conjugacy_count(
 
 # --- one pass over the zero-sum class vectors -------------------------------------
 
-def class_counts(spec: Spectrum, counts: Counter | None = None) -> tuple[int, int, int]:
+def class_counts(spec: Spectrum) -> tuple[int, int, int]:
     """Both formulas in one pass over the zero-sum class vectors, no partitions.
 
-    ``counts`` is the class sizes by shift, ``Counter(packed_shifts(spec))``.
     Returns the count, checked to agree between the recursion and the
     closed form, and the numbers P of partitions (the one-block partition
     included) and Z of zero-sum subsets.  A row serves every set B of one
@@ -157,11 +155,8 @@ def class_counts(spec: Spectrum, counts: Counter | None = None) -> tuple[int, in
     C(B) = 1 + sum_b C(B-b).  ``group_by_low_bit`` bounds the pairs (u, v).
     """
     d = spec.d
-    counts = Counter(packed_shifts(spec)) if counts is None else counts
-    values, sizes = zip(*counts.most_common())  # largest first, so the repeated classes lead
-    vectors, zero_sum = zero_sum_vectors(values, sizes)
-    repeated = takewhile((1).__lt__, sizes)
-    fields = [((1 << m) - 1) << o for m, o in zip(repeated, accumulate(sizes, initial=0))]
+    # Equal shifts pack to equal integers, so each key is one value class.
+    vectors, fields, zero_sum = zero_sum_vectors(Counter(packed_shifts(spec)).items())
     fact = [factorial(i) for i in range(d + 1)]
     by_low = group_by_low_bit(vectors)
 
@@ -255,14 +250,13 @@ def fiber_report(spec: Spectrum) -> FiberReport:
     so the count's bounds and both exact divisions are checked here, before
     it is built.
     """
-    counts = Counter(packed_shifts(spec))
-    size, partitions, zero_sum = class_counts(spec, counts)
+    size, partitions, zero_sum = class_counts(spec)
     d = spec.d
     if not 0 <= size <= factorial(d - 2):
         raise InvariantViolationError(
             f"count {size} outside [0, (d-2)!] for d={d}"
         )
-    sizes = tuple(counts.values())  # in order of first index, as ``value_classes``
+    sizes = value_classes(spec).sizes
     _monic_centered(d, size, sizes)
     _conjugacy(size, sizes)
     return FiberReport(size, bytes(sizes), partitions, zero_sum)

@@ -59,11 +59,12 @@ class DimensionCapError(InputError):
     generated spectrum), pairs (``lattice.MAX_PAIR_WORK``, checked from the
     count of zero-sum class vectors and again per lowest bit), partitions
     the lattice builds (``lattice.MAX_PARTITIONS``, checked against the
-    counting pass's P), the states of a size vector's or a whole sweep's
-    coarsening passes, 3^l per vector of l blocks (``polyfam.MAX_STATES``),
-    the block count l of ``collapsed_poly``, ``coarsening_value`` and the
-    polynomial table (``polyfam.MAX_TABLE_L``), the solver's degree cap and
-    the float range of its shifts, multipliers and start radius.
+    counting pass's P when a shift repeats, else against the covers), the
+    states of a size vector's or a whole sweep's coarsening passes, 3^l per
+    vector of l blocks (``polyfam.MAX_STATES``), the block count l of
+    ``collapsed_poly``, ``coarsening_value`` and the polynomial table
+    (``polyfam.MAX_TABLE_L``), the solver's degree cap and the float range
+    of its shifts, multipliers and start radius.
     """
 
 

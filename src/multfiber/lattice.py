@@ -16,17 +16,19 @@ containing the smallest uncovered index, so each comes once and in
 canonical block order.  ``MAX_SCAN_DEGREE`` bounds the scan,
 ``MAX_PAIR_WORK`` the pairs that the counting pass (vector pairs) and the
 cover search (block pairs) try, and ``MAX_PARTITIONS`` the partitions the
-lattice builds.  Each raises ``DimensionCapError`` before its work, from a
-count made first: of the zero-sum vectors, or P from the counting pass.
-Results are immutable and shareable.
+lattice builds, each refused from a count made before the work: of the
+zero-sum vectors, or of the partitions (P when a shift repeats, else the
+covers listed one past the limit).  Results are immutable and shareable.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator
-from itertools import accumulate, compress, repeat
-from math import comb
+from itertools import accumulate, compress, islice, repeat
+from math import comb, isqrt
+from operator import itemgetter, mul
 
 from .errors import DimensionCapError
 from .frozen import Frozen
@@ -57,30 +59,31 @@ def subset_sums(values, sizes=None) -> list[int]:
 
 
 def packed_shifts(spec: "Spectrum") -> list[int]:
-    """The integer parts of each shift (all over one denominator) as re*k + im.
-
-    |subset im sum| < k/2, so a packed sum is 0 exactly when both parts are.
-    """
+    """Each shift's integer parts as re*k + im; |any im sum| < k/2, so a sum is 0 iff both are."""
     k = 2 * sum(map(abs, spec.im)) + 1
     return [r * k + i for r, i in zip(spec.re, spec.im)]
 
 
-def zero_sum_vectors(values, sizes) -> tuple[list[int], int]:
-    """The nonempty zero-sum class vectors, ascending, and Z.
+def zero_sum_vectors(classes) -> tuple[list[int], list[int], int]:
+    """The nonempty zero-sum class vectors, ascending, the repeated classes' fields, and Z.
 
-    Class j, ``sizes[j]`` copies of ``values[j]`` (sizes descending), owns
-    that many bits above the classes before it; a vector v is the mask of
-    the first v_j bits of each class, so u <= v is ``u & ~v == 0``.  The
-    full vector comes last; Z sums prod C(m_j, v_j) over the proper ones.
-    N + 1 vectors on r lowest bits need r * C(floor((N+1)/r), 2) pairs or
-    more, so an N past ``MAX_PAIR_WORK`` is refused before any is decoded.
+    Class j, a pair (value, size): size copies of value.  Largest first
+    (ties kept in order), each class owns that many bits, a field, above
+    those before it; a vector v is the mask of the first v_j bits of each class,
+    so u <= v is ``u & ~v == 0``.  The full vector comes last; Z sums
+    prod C(m_j, v_j) over the proper ones.  N + 1 vectors on r lowest bits
+    need r * C(floor((N+1)/r), 2) pairs or more: an N past the limit is
+    refused before any is decoded.
     """
+    values, sizes = zip(*sorted(classes, key=itemgetter(1), reverse=True))
     if sum(sizes) > MAX_SCAN_DEGREE:
         raise DimensionCapError(f"degree {sum(sizes)} above the scan limit {MAX_SCAN_DEGREE}")
-    # Zero-sum when the low classes' negated sum equals the high classes' sum
-    # (Horowitz-Sahni); the low half's vector count is at most the root of all.
-    prefix = list(accumulate(sizes, lambda n, m: n * (m + 1), initial=1))
-    h = sum(n * n <= prefix[-1] for n in prefix) - 1
+    repeated = sizes[: len(sizes) - sizes.count(1)]
+    starts = list(accumulate(repeated, initial=0))  # the last is where the size-1 classes start
+    fields = [((1 << m) - 1) << off for m, off in zip(repeated, starts)]
+    # Horowitz-Sahni: zero-sum when -(low half's sum) = high half's; low half <= root of all.
+    prefix = list(accumulate([m + 1 for m in sizes], mul, initial=1))
+    h = bisect_right(prefix, isqrt(prefix[-1])) - 1
     neg_low = subset_sums([-v for v in values[:h]], sizes[:h])
     high = subset_sums(values[h:], sizes[h:])
     buckets = Counter(neg_low)
@@ -95,40 +98,36 @@ def zero_sum_vectors(values, sizes) -> tuple[list[int], int]:
     low_by_sum: dict[int, list[int]] = {}
     for i in compress(range(len(neg_low)), map(hits.__contains__, neg_low)):
         low_by_sum.setdefault(neg_low[i], []).append(i)
-    repeated = sizes[: len(sizes) - sizes.count(1)]  # the size-1 classes come last, a bit each
     vectors, zero_sum = [], -2  # the empty and the full vector are not proper
     # Ascending high halves, each with its ascending low halves: ascending vectors.
     for j in compress(range(len(high)), map(hits.__contains__, high)):
         for i in low_by_sum[high[j]]:
             i += j * len(neg_low)
-            v, ways, off = 0, 1, 0
-            for m in repeated:
+            v, ways = 0, 1
+            for m, off in zip(repeated, starts):
                 i, c = divmod(i, m + 1)
                 v |= ((1 << c) - 1) << off
                 ways *= comb(m, c)
-                off += m
-            vectors.append(v | i << off)
+            vectors.append(v | i << starts[-1])
             zero_sum += ways
-    return vectors[1:], zero_sum
+    return vectors[1:], fields, zero_sum
 
 
 def zero_sum_subsets(spec: "Spectrum") -> list[int]:
-    """All proper nonempty index sets with exactly vanishing shift sum.
+    """All proper nonempty index sets with exactly vanishing shift sum, ascending.
 
-    The scan with every index its own class, so each vector is an index set.
-    Every returned subset has size >= 2, because single shifts are nonzero.
-    Masks come in ascending order, so each follows all of its subsets.
+    The scan with each index its own class.  Every subset has size >= 2,
+    because single shifts are nonzero, and follows all of its subsets.
     """
-    return zero_sum_vectors(packed_shifts(spec), [1] * spec.d)[0][:-1]
+    return zero_sum_vectors(zip(packed_shifts(spec), repeat(1)))[0][:-1]
 
 
 def group_by_low_bit(masks: list[int]) -> dict[int, list[int]]:
     """Masks keyed by their lowest set bit, each list in the given order.
 
-    The cover search (index masks) and the counting pass (class vectors)
-    join only masks that share their lowest bit, so they try at most
-    W = sum of C(len(group), 2) pairs; W above ``MAX_PAIR_WORK`` raises
-    ``DimensionCapError``.
+    The cover search and the counting pass join only masks (or vectors) that
+    share their lowest bit, so they try at most W = sum of C(len(group), 2)
+    pairs; W above ``MAX_PAIR_WORK`` raises ``DimensionCapError``.
     """
     groups: dict[int, list[int]] = {}
     for mask in masks:
@@ -215,14 +214,20 @@ def _cover_partitions(by_low: dict[int, list[int]], full: int) -> Iterator[tuple
 
 def enumerate_lattice(spec: "Spectrum") -> Lattice:
     """Enumerate every partition of the index set into zero-sum blocks."""
-    from .counting import class_counts  # counting builds on this module
-    count = class_counts(spec)[1]  # P, before any mask is listed
-    if count > MAX_PARTITIONS:
-        raise DimensionCapError(f"{count} partitions above the partition limit {MAX_PARTITIONS}")
     d = spec.d
+    # Repeated shifts multiply the covers, not the class vectors: count P first.
+    # With distinct shifts that pass would cost about a fifth of the lattice.
+    if len(set(zip(spec.re, spec.im))) < d:
+        from .counting import class_counts  # counting builds on this module
+        if (count := class_counts(spec)[1]) > MAX_PARTITIONS:
+            raise DimensionCapError(f"{count} partitions above the partition limit {MAX_PARTITIONS}")
     subsets = zero_sum_subsets(spec)
     full = (1 << d) - 1
     by_low = group_by_low_bit(subsets + [full])  # whole set sums to zero
-    partitions = [BlockPartition(blocks) for blocks in _cover_partitions(by_low, full)]
+    partitions = list(islice(_cover_partitions(by_low, full), MAX_PARTITIONS + 1))
+    if len(partitions) > MAX_PARTITIONS:
+        raise DimensionCapError(f"more than {MAX_PARTITIONS} partitions, above the partition limit")
+    for i, blocks in enumerate(partitions):  # in place: each cover is freed as it goes
+        partitions[i] = BlockPartition(blocks)
     partitions.sort(key=lambda p: (p.block_count, p.blocks))
     return Lattice(d, tuple(partitions), len(subsets))

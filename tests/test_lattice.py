@@ -24,6 +24,7 @@ from multfiber.lattice import (
     enumerate_lattice,
     mask_indices,
     zero_sum_subsets,
+    zero_sum_vectors,
 )
 from multfiber.spectrum import from_shifts, generate
 from reference import (
@@ -198,8 +199,23 @@ def test_dimension_cap(monkeypatch):
         raise AssertionError("a partition was built past the limit")
 
     monkeypatch.setattr(BlockPartition, "__init__", refuse)
-    with pytest.raises(DimensionCapError):
+    with pytest.raises(DimensionCapError, match="131 partitions"):
         enumerate_lattice(spec)
+    # with distinct shifts the cover search counts the covers itself:
+    # +-1..+-4 has P = 22, and no partition is built past the limit
+    spec = from_shifts([s * i for i in range(1, 5) for s in (1, -1)])
+    assert fiber_report(spec).lattice_partitions == 22
+    monkeypatch.setattr(multfiber.lattice, "MAX_PARTITIONS", 21)
+    with pytest.raises(DimensionCapError, match="more than 21 partitions"):
+        enumerate_lattice(spec)
+
+
+def test_zero_sum_vectors_lay_out_the_classes_largest_first():
+    # -1 x3 owns bits 0-2 (its field), then 2 and 1 a bit each, in the given
+    # order; 2 - 1 - 1 and 1 - 1 vanish, each in C(3, v) ways
+    expected = ([0b01011, 0b10001, 0b11111], [0b111], 6)
+    assert zero_sum_vectors([(2, 1), (-1, 3), (1, 1)]) == expected
+    assert zero_sum_vectors([(-1, 3), (2, 1), (1, 1)]) == expected
 
 
 def test_cover_search_type_hints_resolve():
