@@ -12,14 +12,14 @@ a sum over the partitions of the index set into zero-sum blocks:
   (d-1) * count = sum over partitions of {-(d-1)}^{#blocks - 1} times the
   product of (block size - 1)!.
 
-``fiber_report`` evaluates both in one bottom-up pass over the zero-sum
-class vectors (``class_counts``), one row per vector and no partition, and
-that pass checks that they agree.  The closed form uses block sizes only,
-never a recursive weight, so the agreement is an independent check.
+``fiber_report`` is the pass: it evaluates both in one bottom-up pass over
+the zero-sum class vectors, one row per vector and no partition, and
+checks that they agree.  The closed form uses block sizes only, never a
+recursive weight, so the agreement is an independent check.
 
 ``fiber_size`` (under either route name) and ``fiber_size_closed_form``
-return the checked count of that pass.  Their ``lat`` argument, like that
-of the discrete counts, is unused; it stays so that callers that pass the
+return the report's checked count.  Their ``lat`` argument, like that of
+the discrete counts, is unused; it stays so that callers that pass the
 later arguments by position keep working.  The same pass over index masks
 and the partition-lattice routes live in the tests as the references.
 
@@ -35,8 +35,6 @@ arbitrary-precision integers, so concurrent evaluation is safe.
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import reduce
 from math import comb, factorial, gcd
 
 from .errors import (
@@ -66,15 +64,15 @@ def _exact_quotient(total: int, divisor: int, what: str) -> int:
 # --- the checked count, by route name -------------------------------------------
 
 def fiber_size(spec: Spectrum, lat: Lattice | None = None, engine: str = "subspectra") -> int:
-    """Fiber cardinality with multiplicity from the class pass; ``lat`` is unused."""
+    """Fiber cardinality with multiplicity, ``fiber_report(spec).s_d``; ``lat`` is unused."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return class_counts(spec)[0]
+    return fiber_report(spec).s_d
 
 
 def fiber_size_closed_form(spec: Spectrum, lat: Lattice | None = None) -> int:
-    """Fiber cardinality with multiplicity from the class pass; ``lat`` is unused."""
-    return class_counts(spec)[0]
+    """Fiber cardinality with multiplicity, ``fiber_report(spec).s_d``; ``lat`` is unused."""
+    return fiber_report(spec).s_d
 
 
 # --- discrete counts ------------------------------------------------------------
@@ -82,11 +80,7 @@ def fiber_size_closed_form(spec: Spectrum, lat: Lattice | None = None) -> int:
 def class_gcds(sizes) -> tuple[int, ...]:
     """For each class, the gcd of all class sizes with that one reduced by 1."""
     sizes = tuple(sizes)
-    out = []
-    for w in range(len(sizes)):
-        adjusted = sizes[:w] + (sizes[w] - 1,) + sizes[w + 1 :]
-        out.append(reduce(gcd, adjusted, 0))
-    return tuple(out)
+    return tuple(gcd(*sizes[:w], sizes[w] - 1, *sizes[w + 1 :]) for w in range(len(sizes)))
 
 
 def _monic_centered(d: int, size: int, sizes: tuple[int, ...]) -> int:
@@ -136,68 +130,6 @@ def conjugacy_count(
     return _conjugacy(size, classes.sizes)
 
 
-# --- one pass over the zero-sum class vectors -------------------------------------
-
-def class_counts(spec: Spectrum) -> tuple[int, int, int]:
-    """Both formulas in one pass over the zero-sum class vectors, no partitions.
-
-    Returns the count, checked to agree between the recursion and the
-    closed form, and the numbers P of partitions (the one-block partition
-    included) and Z of zero-sum subsets.  A row serves every set B of one
-    class vector v (``zero_sum_vectors``): a proper partition of B is its
-    block b holding a fixed index of v's first class i with a partition of
-    B - b (zero-sum, smaller, visited earlier).  There are
-    C(v_i - 1, u_i - 1) * prod_{j != i} C(v_j, u_j) blocks b of vector u,
-    and B - b has vector v ^ u with each repeated class's bits moved down by
-    u_j (Stanley, EC2 5.1).  g[k] sums prod w(C) over the k-block
-    partitions and g[1] = w(B) = (|B|-1) * count; the signed sum is
-    F(B) = (|B|-1)! - (d-1) * sum_b (|b|-1)! * F(B-b), d the full degree, and
-    C(B) = 1 + sum_b C(B-b).  ``group_by_low_bit`` bounds the pairs (u, v).
-    """
-    d = spec.d
-    # Equal shifts pack to equal integers, so each key is one value class.
-    vectors, fields, zero_sum = zero_sum_vectors(Counter(packed_shifts(spec)).items())
-    fact = [factorial(i) for i in range(d + 1)]
-    by_low = group_by_low_bit(vectors)
-
-    rows: dict[int, tuple[list[int], int, int]] = {}
-    # Ascending vectors: every u <= v comes before v.
-    for v in vectors:
-        n = v.bit_count()
-        g = [0] * (n // 2 + 1)  # blocks have size >= 2, index = block count
-        signed = count = 0
-        for u in by_low[v & -v]:
-            if u >= v:
-                break
-            if u & ~v:
-                continue
-            rest, ways = v ^ u, 1
-            for field in fields:
-                if f := rest & field:
-                    t = (u & field).bit_count()
-                    rest ^= f ^ (f >> t)
-                    fixed = bool(v & -v & field)  # the fixed index is in this class
-                    ways *= comb(t + f.bit_count() - fixed, t - fixed)
-            wb = rows[u][0][1] * ways
-            rg, rf, rc = rows[rest]
-            for k in range(1, len(rg)):
-                g[k + 1] += wb * rg[k]
-            signed += fact[u.bit_count() - 1] * rf * ways
-            count += rc * ways
-        sub = fact[n - 2] - sum(rising_span(n, k) * g[k] for k in range(2, len(g)))
-        g[1] = (n - 1) * sub
-        rows[v] = (g, fact[n - 1] - (d - 1) * signed, 1 + count)
-
-    # The full vector came last, so sub is its count by the recursion.
-    _, signed, count = rows[vectors[-1]]
-    closed = _exact_quotient(signed, d - 1, "signed lattice sum")
-    if sub != closed:
-        raise EngineDisagreementError(
-            f"count routes disagree: recursion {sub} != closed form {closed}"
-        )
-    return sub, count, zero_sum
-
-
 # --- aggregate report -------------------------------------------------------------
 
 class FiberReport(Frozen):
@@ -244,19 +176,66 @@ class FiberReport(Frozen):
 
 
 def fiber_report(spec: Spectrum) -> FiberReport:
-    """Count by the class pass, which checks its two formulas agree; check the rest.
+    """Both formulas in one pass over the zero-sum class vectors, no partitions; all checked.
 
-    The report derives the discrete counts from ``s_d`` and the class sizes,
-    so the count's bounds and both exact divisions are checked here, before
-    it is built.
+    A row serves every set B of one class vector v (``zero_sum_vectors``,
+    one class per ``value_classes`` class): a proper partition of B is its
+    block b holding a fixed index of v's first class i with a partition of
+    B - b (zero-sum, smaller, visited earlier).  There are
+    C(v_i - 1, u_i - 1) * prod_{j != i} C(v_j, u_j) blocks b of vector u,
+    and B - b has vector v ^ u with each repeated class's bits moved down by
+    u_j (Stanley, EC2 5.1).  g[k] sums prod w(C) over the k-block
+    partitions and g[1] = w(B) = (|B|-1) * count; the signed sum is
+    F(B) = (|B|-1)! - (d-1) * sum_b (|b|-1)! * F(B-b), d the full degree, and
+    C(B) = 1 + sum_b C(B-b), P for the full set.  ``group_by_low_bit`` bounds
+    the pairs (u, v).  The report derives the discrete counts from ``s_d``
+    and the class sizes: the count's bounds and both exact divisions are
+    checked before it is built.
     """
-    size, partitions, zero_sum = class_counts(spec)
     d = spec.d
-    if not 0 <= size <= factorial(d - 2):
-        raise InvariantViolationError(
-            f"count {size} outside [0, (d-2)!] for d={d}"
+    classes, packed = value_classes(spec), packed_shifts(spec)
+    vectors, fields, zero_sum = zero_sum_vectors([(packed[c[0]], len(c)) for c in classes.classes])
+    fact = [factorial(i) for i in range(d + 1)]
+    by_low = group_by_low_bit(vectors)
+
+    rows: dict[int, tuple[list[int], int, int]] = {}
+    # Ascending vectors: every u <= v comes before v.
+    for v in vectors:
+        n = v.bit_count()
+        g = [0] * (n // 2 + 1)  # blocks have size >= 2, index = block count
+        signed = count = 0
+        for u in by_low[v & -v]:
+            if u >= v:
+                break
+            if u & ~v:
+                continue
+            rest, ways = v ^ u, 1
+            for field in fields:
+                if f := rest & field:
+                    t = (u & field).bit_count()
+                    rest ^= f ^ (f >> t)
+                    fixed = bool(v & -v & field)  # the fixed index is in this class
+                    ways *= comb(t + f.bit_count() - fixed, t - fixed)
+            wb = rows[u][0][1] * ways
+            rg, rf, rc = rows[rest]
+            for k in range(1, len(rg)):
+                g[k + 1] += wb * rg[k]
+            signed += fact[u.bit_count() - 1] * rf * ways
+            count += rc * ways
+        sub = fact[n - 2] - sum(rising_span(n, k) * g[k] for k in range(2, len(g)))
+        g[1] = (n - 1) * sub
+        rows[v] = (g, fact[n - 1] - (d - 1) * signed, 1 + count)
+
+    # The full vector came last, so sub is its count by the recursion.
+    _, signed, count = rows[vectors[-1]]
+    closed = _exact_quotient(signed, d - 1, "signed lattice sum")
+    if sub != closed:
+        raise EngineDisagreementError(
+            f"count routes disagree: recursion {sub} != closed form {closed}"
         )
-    sizes = value_classes(spec).sizes
-    _monic_centered(d, size, sizes)
-    _conjugacy(size, sizes)
-    return FiberReport(size, bytes(sizes), partitions, zero_sum)
+    if not 0 <= sub <= fact[d - 2]:
+        raise InvariantViolationError(f"count {sub} outside [0, (d-2)!] for d={d}")
+    sizes = classes.sizes
+    _monic_centered(d, sub, sizes)
+    _conjugacy(sub, sizes)
+    return FiberReport(sub, bytes(sizes), count, zero_sum)

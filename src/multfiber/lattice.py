@@ -10,7 +10,8 @@ indices it takes from each class of equal shifts.  A meet-in-the-middle
 scan sums the class vectors of each half of the classes exactly (the
 shifts are integers over one denominator) and decodes only the vectors
 whose halves cancel: with distinct shifts, 2 * 2^ceil(d/2) sums, not 2^d.
-``zero_sum_subsets`` is the scan with each index its own class.  An
+``zero_sum_join`` counts those vectors, ``zero_sum_vectors`` decodes them,
+and ``zero_sum_subsets`` is the scan with each index its own class.  An
 exact-cover search assembles partitions, always extending with the block
 containing the smallest uncovered index, so each comes once and in
 canonical block order.  ``MAX_SCAN_DEGREE`` bounds the scan,
@@ -64,36 +65,50 @@ def packed_shifts(spec: "Spectrum") -> list[int]:
     return [r * k + i for r, i in zip(spec.re, spec.im)]
 
 
-def zero_sum_vectors(classes) -> tuple[list[int], list[int], int]:
-    """The nonempty zero-sum class vectors, ascending, the repeated classes' fields, and Z.
+def check_pair_floor(vectors: int, bits: int) -> None:
+    """Refuse N = ``vectors`` proper zero-sum vectors on r = ``bits`` lowest bits before any pair.
 
-    Class j, a pair (value, size): size copies of value.  Largest first
-    (ties kept in order), each class owns that many bits, a field, above
-    those before it; a vector v is the mask of the first v_j bits of each class,
-    so u <= v is ``u & ~v == 0``.  The full vector comes last; Z sums
-    prod C(m_j, v_j) over the proper ones.  N + 1 vectors on r lowest bits
-    need r * C(floor((N+1)/r), 2) pairs or more: an N past the limit is
-    refused before any is decoded.
+    With the full vector they need r * C(floor((N+1)/r), 2) pairs or more.
+    """
+    work = bits * comb((vectors + 1) // bits, 2)
+    if work > MAX_PAIR_WORK:
+        raise DimensionCapError(
+            f"{vectors} zero-sum class vectors need at least {work} block pairs, "
+            f"above the pair-work limit {MAX_PAIR_WORK}"
+        )
+
+
+def zero_sum_join(classes) -> tuple:
+    """The scan's matching stage: the sizes largest first, each half's sums, and N + 2.
+
+    Class j, a pair (value, size), is size copies of value.  The matches
+    count the N proper zero-sum vectors and the empty and full ones.
     """
     values, sizes = zip(*sorted(classes, key=itemgetter(1), reverse=True))
     if sum(sizes) > MAX_SCAN_DEGREE:
         raise DimensionCapError(f"degree {sum(sizes)} above the scan limit {MAX_SCAN_DEGREE}")
-    repeated = sizes[: len(sizes) - sizes.count(1)]
-    starts = list(accumulate(repeated, initial=0))  # the last is where the size-1 classes start
-    fields = [((1 << m) - 1) << off for m, off in zip(repeated, starts)]
     # Horowitz-Sahni: zero-sum when -(low half's sum) = high half's; low half <= root of all.
     prefix = list(accumulate([m + 1 for m in sizes], mul, initial=1))
     h = bisect_right(prefix, isqrt(prefix[-1])) - 1
     neg_low = subset_sums([-v for v in values[:h]], sizes[:h])
     high = subset_sums(values[h:], sizes[h:])
     buckets = Counter(neg_low)
-    found = sum(map(buckets.get, high, repeat(0)))  # the empty and full vectors too
-    work = len(sizes) * comb((found - 1) // len(sizes), 2)
-    if work > MAX_PAIR_WORK:
-        raise DimensionCapError(
-            f"{found - 2} zero-sum class vectors need at least {work} block pairs, "
-            f"above the pair-work limit {MAX_PAIR_WORK}"
-        )
+    return sizes, neg_low, high, buckets, sum(map(buckets.get, high, repeat(0)))
+
+
+def zero_sum_vectors(classes) -> tuple[list[int], list[int], int]:
+    """The nonempty zero-sum class vectors, ascending, the repeated classes' fields, and Z.
+
+    The decoding stage of ``zero_sum_join``.  Largest first (ties kept in
+    order), each class owns that many bits, a field, above those before it;
+    v is the mask of the first v_j bits of each class, so u <= v is
+    ``u & ~v == 0``.  The full vector is last; Z sums prod C(m_j, v_j) over proper v.
+    """
+    sizes, neg_low, high, buckets, found = zero_sum_join(classes)
+    check_pair_floor(found - 2, len(sizes))
+    repeated = sizes[: len(sizes) - sizes.count(1)]
+    starts = list(accumulate(repeated, initial=0))  # the last is where the size-1 classes start
+    fields = [((1 << m) - 1) << off for m, off in zip(repeated, starts)]
     hits = buckets.keys() & high
     low_by_sum: dict[int, list[int]] = {}
     for i in compress(range(len(neg_low)), map(hits.__contains__, neg_low)):
@@ -214,12 +229,13 @@ def _cover_partitions(by_low: dict[int, list[int]], full: int) -> Iterator[tuple
 
 def enumerate_lattice(spec: "Spectrum") -> Lattice:
     """Enumerate every partition of the index set into zero-sum blocks."""
+    from .counting import fiber_report  # counting and spectrum build on this module
+    from .spectrum import value_classes
     d = spec.d
     # Repeated shifts multiply the covers, not the class vectors: count P first.
     # With distinct shifts that pass would cost about a fifth of the lattice.
-    if len(set(zip(spec.re, spec.im))) < d:
-        from .counting import class_counts  # counting builds on this module
-        if (count := class_counts(spec)[1]) > MAX_PARTITIONS:
+    if len(value_classes(spec).classes) < d:
+        if (count := fiber_report(spec).lattice_partitions) > MAX_PARTITIONS:
             raise DimensionCapError(f"{count} partitions above the partition limit {MAX_PARTITIONS}")
     subsets = zero_sum_subsets(spec)
     full = (1 << d) - 1

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .exactnum import format_literal, gaussian_parts
 from .frozen import Frozen
-from .lattice import MAX_SCAN_DEGREE, zero_sum_subsets
+from .lattice import MAX_SCAN_DEGREE, check_pair_floor, packed_shifts, zero_sum_join
 
 
 class Spectrum(Frozen):
@@ -184,7 +184,8 @@ def generate(plan, *, seed: int = 0, exact: bool = False) -> Spectrum:
     ``exact=True`` candidates are redrawn, at most ``EXACT_TRIES`` times,
     until the zero-sum subsets are precisely the unions of whole plan blocks.
     A plan of total degree above ``lattice.MAX_SCAN_DEGREE``, which no
-    command reads, raises ``DimensionCapError`` before any draw.
+    command reads, raises ``DimensionCapError`` before any draw, as does an
+    exact plan whose 2^B - 2 block unions fail ``lattice.check_pair_floor``.
     """
     rng = random.Random(seed)
     fixed: list[list[tuple[int, int, int]] | None] = []
@@ -208,6 +209,8 @@ def generate(plan, *, seed: int = 0, exact: bool = False) -> Spectrum:
         raise DegreeTooSmallError("empty plan")
     if sum(sizes) > MAX_SCAN_DEGREE:
         raise DimensionCapError(f"degree {sum(sizes)} above the scan limit {MAX_SCAN_DEGREE}")
+    if exact:
+        check_pair_floor(2 ** len(sizes) - 2, sum(sizes))
 
     has_random = any(b is None for b in fixed)
 
@@ -218,9 +221,9 @@ def generate(plan, *, seed: int = 0, exact: bool = False) -> Spectrum:
         spec = _spectrum(targets, "mu")
         if not exact:
             return spec
-        # the 2^B - 2 proper nonempty unions of whole plan blocks are always
-        # zero-sum, so the zero-sum subsets are exactly those iff they are as many
-        if len(zero_sum_subsets(spec)) == 2 ** len(sizes) - 2:
+        # the 2^B - 2 proper nonempty unions of whole plan blocks are always zero-sum,
+        # so there are no others iff the join counts 2^B, the empty and full sets too
+        if zero_sum_join([(p, 1) for p in packed_shifts(spec)])[-1] == 2 ** len(sizes):
             return spec
         if not has_random:
             raise ExactShapeError(

@@ -9,9 +9,9 @@ against.
 of two halves of the value classes.  The scan kept here builds the exact
 sums of all 2^d index subsets.
 
-``multfiber.counting.class_counts`` evaluates the paper's two formulas, the
-sub-spectrum recursion and the closed form, in one pass over the zero-sum
-class vectors.  Two tiers of references sit below it.  ``mask_counts`` is
+``multfiber.counting.fiber_report`` is the pass: it evaluates the paper's
+two formulas, the sub-spectrum recursion and the closed form, in one pass
+over the zero-sum class vectors.  Two tiers of references sit below it.  ``mask_counts`` is
 the same pass over the zero-sum index masks, every index its own class.
 The routes kept here walk the partition lattice of
 ``multfiber.lattice.enumerate_lattice`` instead: ``fiber_size`` recurses
@@ -401,7 +401,7 @@ def fiber_size_closed_form(spec, lat=None) -> int:
 
 
 def mask_counts(spec) -> tuple[int, int, int]:
-    """``multfiber.counting.class_counts`` over index masks: (count, P, Z).
+    """The pass of ``multfiber.counting.fiber_report`` over index masks: (count, P, Z).
 
     The pass with every index its own class: one row (g, F, C) per zero-sum
     mask B, and a proper partition of B is its block b holding the lowest

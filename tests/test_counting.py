@@ -18,7 +18,6 @@ import multfiber.lattice
 import multfiber.spectrum
 from multfiber.counting import (
     FiberReport,
-    class_counts,
     class_gcds,
     conjugacy_count,
     fiber_report,
@@ -403,10 +402,34 @@ def class_spectra(draw, max_d=10):
 @given(class_spectra())
 def test_class_pass_matches_the_mask_pass_and_the_lattice(spec):
     expected = mask_counts(spec)
-    assert class_counts(spec) == expected
+    report = fiber_report(spec)
+    assert (report.s_d, report.lattice_partitions, report.zero_sum_subsets) == expected
     lat = enumerate_lattice(spec)
     assert all_routes(spec, lat) == (expected[0],) * 3
     assert (len(lat.partitions), lat.zero_sum_count) == expected[1:]
+
+
+def test_fiber_report_groups_the_shifts_once(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return value_classes(spec)
+
+    monkeypatch.setattr(multfiber.counting, "value_classes", counted)
+    for shifts in ([1, -1, 2, -2, 3, -3], [1, -1] * 4, [1, 1, 2, -4]):
+        calls.clear()
+        fiber_report(from_shifts(shifts))
+        assert len(calls) == 1
+
+
+def test_lattice_of_distinct_shifts_runs_no_class_pass(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lattice ran the class pass")
+
+    monkeypatch.setattr(multfiber.counting, "fiber_report", refuse)
+    lat = enumerate_lattice(from_shifts([1, -1, 2, -2, 3, -3]))
+    assert (len(lat.partitions), lat.zero_sum_count) == (6, 8)
 
 
 def test_fiber_report_builds_no_partition(monkeypatch):

@@ -2,12 +2,15 @@
 
 import json
 import sys
+import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multfiber.spectrum
 from multfiber.counting import fiber_report
 from multfiber.errors import (
     BlockSumError,
@@ -217,6 +220,42 @@ def test_generate_exact_with_conflicting_explicit_targets():
     # duplicated explicit blocks force crossing zero sums; nothing to redraw
     with pytest.raises(ExactShapeError):
         generate([["1", "-1"], ["1", "-1"]], exact=True)
+
+
+def test_generate_exact_counts_the_zero_sums_and_redraws():
+    # the first draws have over 10^5 accidental zero sums, too many to list;
+    # they are counted, not listed, and redrawn
+    spec = generate([2] * 14, seed=1, exact=True)
+    assert len(zero_sum_subsets(spec)) == 2**14 - 2 == 16382
+
+
+def test_generate_exact_refuses_a_plan_past_the_pair_floor_before_any_draw(monkeypatch):
+    # 19 blocks have 2^19 - 2 unions, which need about 3.6e9 block pairs at d = 38
+    def refuse(*args, **kwargs):
+        raise AssertionError("a spectrum was drawn")
+
+    monkeypatch.setattr(multfiber.spectrum, "_draw_block", refuse)
+    start = time.perf_counter()
+    with pytest.raises(DimensionCapError, match="524286 zero-sum class vectors"):
+        generate([2] * 19, exact=True)
+    assert time.perf_counter() - start < 1
+
+
+def bell(n):
+    row = [1]  # Bell triangle
+    for _ in range(n - 1):
+        row = list(accumulate(row, initial=row[-1]))
+    return row[-1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(2, 4), min_size=1, max_size=5), st.integers(0, 10**6))
+def test_generate_exact_report_has_the_plan_lattice(plan, seed):
+    # an exact spectrum's zero-sum sets are the block unions, its partitions
+    # the set partitions of the blocks
+    report = fiber_report(generate(plan, seed=seed, exact=True))
+    assert report.zero_sum_subsets == 2 ** len(plan) - 2
+    assert report.lattice_partitions == bell(len(plan))
 
 
 def test_json_round_trip():
