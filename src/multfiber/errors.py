@@ -65,7 +65,7 @@ class DimensionCapError(InputError):
     blocks (``polyfam.MAX_STATES``), the block count l of
     ``collapsed_poly``, ``coarsening_value`` and the polynomial table
     (``polyfam.MAX_TABLE_L``), the solver's degree cap and the float range
-    of its shifts, multipliers and start radius.
+    of its shifts and multipliers.
     """
 
 

@@ -19,7 +19,10 @@ outside, in floating point.
 
 The solver runs Newton from batches of random starts (uniform in a disc
 per coordinate, then projected onto the zero-sum hyperplane, which
-removes one unstable direction).  A start takes full Newton steps and
+removes one unstable direction).  The exact count sizes the batches: the
+first has ``STARTS_PER_ORBIT`` starts per orbit of G x C_(d-1) that the
+count implies, and each later one twice the last, up to ``BATCH_SIZE``;
+an empty fiber runs full batches.  A start takes full Newton steps and
 stops, keeping its last iterate, at the first step that fails to lower its
 max-norm residual.  Each step is solved in O(d^2) from the Vandermonde
 structure of the Jacobian (``SigmaSystem.step``), which is never built; where
@@ -38,10 +41,12 @@ pass is reproducible under a fixed seed.
 
 ``SolverConfig`` holds only what the caller asks: seed, start budget,
 degree cap and multiplier tolerance.  How the solver runs is fixed here.
-Residual bound, iteration cap and batch size are constants; starts are
-drawn within the radius 2(1 + max|lambda|), refused past the float range;
-the dedup and collision tolerances are relative to max(1, max_i |zeta_i|)
-of the tuple checked, and polynomials are compared by the coefficients of
+Residual bound, iteration cap and batch sizes are constants.  Starts are
+drawn within the radius 4 (min_i |mu_i|)^(-1/(d-1)): under mu -> c mu the
+solutions map zeta -> c^(-1/(d-1)) zeta, and the disc with them, and the
+radius is finite whenever the shifts and multipliers are.  The dedup and
+collision tolerances are relative to max(1, max_i |zeta_i|) of the tuple
+checked, and polynomials are compared by the coefficients of
 prod_j (x - zeta_j) over each value class after scaling each tuple to
 max_i |zeta_i| = 1.  So a spectrum verifies alike at any scale.
 """
@@ -70,7 +75,8 @@ from .spectrum import Spectrum, ValueClasses, group_order, value_classes
 
 EPS_RES = 1e-10        # accept a tuple only below this residual
 MAX_ITER = 200
-BATCH_SIZE = 512
+BATCH_SIZE = 512       # the most starts in one batch
+STARTS_PER_ORBIT = 32  # first-batch starts per orbit the exact count expects
 DIST_CHUNK = 64        # rows per block of pairwise distances
 EPS_DUP = 1e-6         # relative: tuples closer than this are one solution
 EPS_SEP = 1e-7         # relative: coordinates closer than this are a collision
@@ -117,7 +123,7 @@ class RootTuple:
     residual: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)  # callers may keep many: no __dict__ each
 class SolveResult:
     """The accepted tuples, one per row of ``zeta``, and the Newton counts of the run."""
 
@@ -138,7 +144,7 @@ class SolveResult:
         return len(self.zeta)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class VerificationReport(SolveResult):
     """A ``SolveResult`` with the exact counts it is checked against and the verdict."""
 
@@ -295,13 +301,12 @@ def _accept(
     return zeta, np.concatenate([residual, norms[rows[new]]]), rows.size, dups
 
 
-def _generators(spec: Spectrum) -> list[tuple[np.ndarray, complex]]:
+def _generators(d: int, classes: ValueClasses) -> list[tuple[np.ndarray, complex]]:
     """Generators of G x C_(d-1) as (column permutation, factor) pairs: the
     rotation zeta -> omega * zeta, omega = exp(2 pi i / (d-1)), and each swap of
     neighbours within a value class."""
-    d = spec.d
     gens = [(np.arange(d), complex(np.exp(2j * np.pi / (d - 1))))]
-    for cls in value_classes(spec).classes:
+    for cls in classes.classes:
         for a, b in zip(cls, cls[1:]):
             perm = np.arange(d)
             perm[[a, b]] = b, a
@@ -315,6 +320,13 @@ def solve_system(
     expected: int | None = None,
 ) -> SolveResult:
     """Multi-start Newton search for all distinct solution tuples.
+
+    Starts are drawn from the disc of radius 4 (min_i |mu_i|)^(-1/(d-1)), so
+    under mu -> c mu they scale with the solutions, zeta -> c^(-1/(d-1)) zeta.
+    The first batch has ``STARTS_PER_ORBIT`` starts per orbit of
+    G x C_(d-1) that ``expected`` implies, ceil(expected / (|G| (d-1))), and
+    each later batch twice the last, both at most ``BATCH_SIZE``; with
+    ``expected == 0`` every batch has ``BATCH_SIZE`` starts.
 
     The new distinct tuples of each batch are closed under G x C_(d-1): the
     images of the rows last added, under each generator in turn, pass the
@@ -333,26 +345,33 @@ def solve_system(
     Raises ``BudgetExhaustedError`` (carrying the partial result) if the
     budget runs out short of ``expected``.
     """
-    cfg = cfg or SolverConfig()
+    return _solve(spec, cfg or SolverConfig(), expected, value_classes(spec))
+
+
+def _solve(
+    spec: Spectrum, cfg: SolverConfig, expected: int | None, classes: ValueClasses
+) -> SolveResult:
+    """``solve_system`` with the value classes of ``spec`` given."""
     d = spec.d
     system = SigmaSystem(spec)  # refuses d < 3 first
     _require_solver_degree(d, cfg)
     if expected is None:
         expected = fiber_report(spec).e_I0
     rng = random.Random(cfg.seed)  # importing numpy.random costs about 6 MB RSS
-    radius = 2.0 * (1.0 + float(np.abs(system.lam).max()))
-    if not np.isfinite(radius):
-        raise DimensionCapError("start radius 2(1 + max|lambda|) above the float range 1.8e308")
+    radius = 4.0 * float(np.abs(system.mu).min()) ** (-1.0 / (d - 1))
     budget = cfg.budget_factor * (d - 1) * max(expected // (d - 1), 1)
-    generators = _generators(spec)
+    generators = _generators(d, classes)
+    orbits = -(-expected // (group_order(classes.sizes) * (d - 1)))
+    batch = min(STARTS_PER_ORBIT * orbits, BATCH_SIZE) or BATCH_SIZE
 
     zeta, residual = np.empty((0, d), dtype=complex), np.empty(0)  # the accepted tuples
     starts = converged = duplicates = 0
     while starts < budget and not 0 < expected <= len(zeta):
-        batch = min(BATCH_SIZE, budget - starts)
-        Z = _disc_starts(rng, batch, d, radius)
+        count = min(batch, budget - starts)
+        batch = min(2 * batch, BATCH_SIZE)
+        Z = _disc_starts(rng, count, d, radius)
         norms = _newton_batch(system, Z)
-        starts += batch
+        starts += count
         last = len(zeta)
         zeta, residual, conv, dups = _accept(Z, norms, zeta, residual, expected)
         converged += conv
@@ -465,6 +484,7 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
         _require_solver_degree(d, cfg)
     mu, lam = _complex_values(spec)  # also refuses before the exact count
     counts = fiber_report(spec)
+    classes = value_classes(spec)  # the solve and the orbit count share one grouping
     expected_tuples = counts.e_I0
     expected_orbits = counts.mc_count
 
@@ -475,7 +495,7 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
         result = SolveResult(np.array([[c, -c]]), np.zeros(1), 0, 1, 0)
     else:
         try:
-            result = solve_system(spec, cfg, expected_tuples)
+            result = _solve(spec, cfg, expected_tuples, classes)
         except BudgetExhaustedError as exc:
             result = exc.result
 
@@ -493,7 +513,7 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
     scale = np.maximum(1.0, np.abs(Z).max(axis=1))
     near = np.triu(_within(Z, Z, 10 * EPS_DUP * scale[:, None]), 1)
     # a short run finds part of some orbits, so only a full set is size-checked
-    orbits = _orbits(Z, value_classes(spec), check=found == expected_tuples)
+    orbits = _orbits(Z, classes, check=found == expected_tuples)
     if found < expected_tuples:  # the budget ran out
         status = "incomplete"
     elif expected_tuples == 0:

@@ -532,6 +532,7 @@ def test_report_is_a_solve_result(factor, status):
     # a full run, a short one that finds part of the fiber, and an empty budget
     report = verify_spectrum(from_shifts([1, 2, 3, -6]), SolverConfig(budget_factor=factor))
     assert isinstance(report, verifier.SolveResult)
+    assert not hasattr(report, "__dict__")  # slotted, as callers may keep many
     assert report.status == status
     assert report.found_tuples == len(report.zeta) == len(report.tuples)
     assert "array" not in repr(report) and "zeta" not in repr(report)
@@ -562,7 +563,7 @@ def test_verify_enforces_relative_multiplier_tolerance():
 )
 def test_verify_is_scale_free(scale):
     # max|zeta| runs from about 1.5e3 down to 7e-4 as mu grows, and the
-    # start radius 2(1 + max|lambda|) from about 2e10 down to 4
+    # start radius 4 t^(-1/3) with it, from about 8.6e3 down to 4e-3
     t = Fraction(scale)
     spec = from_shifts([str(k * t) for k in (1, 2, 3, -6)])
     report = verify_spectrum(spec)
@@ -581,21 +582,19 @@ def test_verify_checks_degree_cap_before_counting(monkeypatch):
 
 
 def test_widely_scaled_shifts_read_incomplete_without_a_warning():
-    # mu = (t, -t, 1, -1) puts |lambda| near 1/t, so the one start disc of
-    # radius 2(1 + max|lambda|) misses every solution and far starts overflow
+    # mu = (t, -t, 1, -1) spreads each tuple over two scales, about t^(-1/2)
+    # and t^(1/2), and starts drawn from one disc reach neither; at
+    # t = 1e-308 the disc, 4 t^(-1/3), is still inside the float range
     def spectrum(exponent):
         return from_shifts([Fraction(1, 10**exponent), Fraction(-1, 10**exponent), 1, -1])
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for exponent in (50, 300):
+        for exponent in (50, 300, 308):
             report = verify_spectrum(spectrum(exponent), SolverConfig(budget_factor=10))
             assert report.status == "incomplete"
             assert report.converged == report.found_tuples == 0
             assert report.starts == 30
-        # the radius itself leaves the float range: refused before any start
-        with pytest.raises(DimensionCapError, match="start radius"):
-            solve_system(spectrum(308))
 
 
 def test_zero_fiber_starts_stop_after_few_newton_steps(monkeypatch):
@@ -721,7 +720,8 @@ def test_closure_checks_no_array_much_larger_than_the_fiber(monkeypatch):
     report = verify_spectrum(from_shifts([1, 1, 1, 1, 1, -5]))
     assert report.status == "verified"
     assert report.found_tuples == 120
-    assert report.starts == verifier.BATCH_SIZE  # the rotations alone would need more
+    # one orbit, found by the first batch; the rotations alone would need more
+    assert report.starts == verifier.STARTS_PER_ORBIT
     assert max(sizes) <= 2 * 120
 
 
@@ -729,6 +729,88 @@ def test_closure_raises_past_a_too_small_expected_count():
     # 2 starts converge once; the omega image is the second tuple
     with pytest.raises(SpuriousSolutionError, match="expected 1$"):
         solve_system(from_shifts([2, -1, -1]), SolverConfig(budget_factor=1), expected=1)
+
+
+def test_one_orbit_at_degree_seven_verifies_in_a_small_first_batch():
+    # 720 tuples, one orbit of G x C_6 with |G| = 6!: the first batch has
+    # STARTS_PER_ORBIT starts, not BATCH_SIZE
+    spec = from_shifts([1, 1, 1, 1, 1, 1, -6])
+    report = verify_spectrum(spec, SolverConfig(max_degree=7))
+    assert report.status == "verified"
+    assert report.found_tuples == 720
+    assert report.mc_orbits == report.expected_orbits == 1
+    assert report.starts <= 64
+
+
+@pytest.mark.parametrize("scale", ["1/1000000", "1/10000000000"])
+def test_scaled_shifts_take_the_newton_steps_of_their_unit_twin(monkeypatch, scale):
+    # under mu -> c mu the solutions scale by c^(-1/3), and the start disc
+    # with them, so a start walks in no further than at unit scale
+    columns = [0]
+    step = verifier.SigmaSystem.step
+
+    def counted(self, Z, F):
+        columns[0] += Z.shape[1]  # one column per row still running
+        return step(self, Z, F)
+
+    monkeypatch.setattr(verifier.SigmaSystem, "step", counted)
+    per_start = []
+    for t in (Fraction(1), Fraction(scale)):
+        columns[0] = 0
+        report = verify_spectrum(from_shifts([k * t for k in (1, 2, 3, -6)]))
+        assert report.status == "verified"
+        per_start.append(columns[0] / report.starts)
+    assert per_start[1] <= 1.5 * per_start[0]
+
+
+def test_verify_groups_the_shifts_once(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return value_classes(spec)
+
+    monkeypatch.setattr(verifier, "value_classes", counted)
+    for shifts in ([1, 3, -2, -2], [1, 1, 1, 1, 1, -5], [1, -1, 1, -1]):
+        calls.clear()
+        verify_spectrum(from_shifts(shifts), SolverConfig(budget_factor=60))
+        assert len(calls) == 1
+
+
+EMPTY_FIBERS = [
+    [1, -1, 1, -1],
+    ["1+1i", "-1-1i", "1+1i", "-1-1i"],
+    [1, 1, -2, 1, -1],
+    [2, -1, -1, 1, -1],
+]
+
+
+@st.composite
+def short_runs(draw):
+    """A pooled spectrum or an empty fiber, scaled by a rational, with a
+    budget factor of 0-3 and a seed of 0-5."""
+    spec = draw(st.one_of(pooled_spectra(), st.sampled_from(EMPTY_FIBERS).map(from_shifts)))
+    p, q = draw(st.sampled_from([(1, 1), (1, 7), (5, 3), (1, 1000)]))
+    spec = from_shifts([(x * p, y * p, n * q) for x, y, n in spec.mu])
+    return spec, SolverConfig(budget_factor=draw(st.integers(0, 3)), seed=draw(st.integers(0, 5)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(short_runs())
+def test_start_schedule_keeps_the_budget_and_the_verdict(case):
+    spec, cfg = case
+    report = verify_spectrum(spec, cfg)
+    expected = report.expected_tuples
+    budget = cfg.budget_factor * (spec.d - 1) * max(expected // (spec.d - 1), 1)
+    assert report.starts <= budget
+    incomplete = report.found_tuples < expected or budget == 0  # an empty budget proves nothing
+    assert (report.status == "incomplete") == incomplete
+    if expected == 0:
+        assert report.starts == budget
+    again = verify_spectrum(spec, cfg)
+    assert repr(again) == repr(report)  # every count and the verdict
+    assert np.array_equal(again.zeta, report.zeta)
+    assert np.array_equal(again.residual, report.residual)
 
 
 def test_verify_generic_degree_seven_within_a_short_budget():
