@@ -29,15 +29,15 @@ structure of the Jacobian (``SigmaSystem.step``), which is never built; where
 it is singular the step is not finite, so the start stops.  A batch's
 converged rows are checked together for collisions and duplicates
 (``_check_batch``), and its new tuples are closed under the symmetry group
-G x C_(d-1) (``solve_system``), so one converged start yields its whole
-orbit.  The accepted tuples stay one (n, d) array, with a residual per row,
-from solve to report.  Zero-fiber spectra are verified by exhausting the
-full start budget with nothing accepted, a weaker "consistent" outcome,
-since absence cannot be certified by sampling.  A run whose budget ends
-short of the expected tuples, an empty budget included, reads
-"incomplete" and reports the distinct polynomials it did find.  Newton
-runs are independent and the final merge is deterministic, so the whole
-pass is reproducible under a fixed seed.
+G x C_(d-1), one such check per round for their images under every
+generator (``_close``), so one converged start yields its whole orbit.
+Zero-fiber spectra are verified by exhausting the full start budget with
+nothing accepted, a weaker "consistent" outcome, since absence cannot be
+certified by sampling.  A run whose budget ends short of the expected
+tuples, an empty budget included, reads "incomplete" and reports the
+distinct polynomials it did find.  Newton runs are independent and the
+final merge is deterministic, so the whole pass is reproducible under a
+fixed seed.
 
 ``SolverConfig`` holds only what the caller asks: seed, start budget,
 degree cap and multiplier tolerance.  How the solver runs is fixed here.
@@ -257,20 +257,20 @@ def _require_solver_degree(d: int, cfg: SolverConfig) -> None:
 def _check_batch(C: np.ndarray, accepted: np.ndarray, expected: int) -> tuple[np.ndarray, int]:
     """Indices of the new distinct tuples among the rows C, and the number of
     duplicates.  C is a Newton batch's converged rows or the images of the
-    rows last added under one generator of G x C_(d-1).  Relative to
+    rows last added under every generator of G x C_(d-1).  Relative to
     max(1, max_i |zeta_i|) of the row checked, a row with two coordinates
     within ``EPS_SEP`` collides and is dropped; another row within
     ``EPS_DUP`` in max-norm of an accepted row or of an earlier
-    non-colliding row of C is a duplicate.  Raises ``SpuriousSolutionError``
-    if the new tuples take the count past ``expected``.
+    non-colliding row of C (one distance pass of C against [accepted; C]) is
+    a duplicate.  Raises ``SpuriousSolutionError`` past ``expected`` tuples.
     """
     scale = np.maximum(1.0, np.abs(C).max(axis=1))
     i, j = np.triu_indices(C.shape[1], 1)
     rows = np.flatnonzero(np.abs(C[:, i] - C[:, j]).min(axis=1) > EPS_SEP * scale)
-    C, tol = C[rows], EPS_DUP * scale[rows, None]
-    dup = _within(C, accepted, tol).any(axis=1)
-    dup |= np.tril(_within(C, C, tol), -1).any(axis=1)
-    if len(accepted) + rows.size - dup.sum() > expected:
+    C, n = C[rows], len(accepted)
+    near = _within(C, np.concatenate([accepted, C]), EPS_DUP * scale[rows, None])
+    dup = near[:, :n].any(axis=1) | np.tril(near[:, n:], -1).any(axis=1)
+    if n + rows.size - dup.sum() > expected:
         raise SpuriousSolutionError(
             f"found a {expected + 1}-th distinct tuple, expected {expected}"
         )
@@ -296,22 +296,22 @@ def _accept(
     and how many rows of C are below ``EPS_RES`` and how many of those are
     duplicates (see ``_check_batch``)."""
     rows = np.flatnonzero(norms < EPS_RES)
+    if rows.size == 0:
+        return zeta, residual, 0, 0
     new, dups = _check_batch(C[rows], zeta, expected)
     zeta = np.concatenate([zeta, C[rows[new]]])
     return zeta, np.concatenate([residual, norms[rows[new]]]), rows.size, dups
 
 
-def _generators(d: int, classes: ValueClasses) -> list[tuple[np.ndarray, complex]]:
-    """Generators of G x C_(d-1) as (column permutation, factor) pairs: the
-    rotation zeta -> omega * zeta, omega = exp(2 pi i / (d-1)), and each swap of
-    neighbours within a value class."""
-    gens = [(np.arange(d), complex(np.exp(2j * np.pi / (d - 1))))]
-    for cls in classes.classes:
-        for a, b in zip(cls, cls[1:]):
-            perm = np.arange(d)
-            perm[[a, b]] = b, a
-            gens.append((perm, 1.0))
-    return gens
+def _generators(d: int, classes: ValueClasses) -> tuple[np.ndarray, np.ndarray]:
+    """Generators of G x C_(d-1), as rows of column permutations and their
+    factors: the rotation zeta -> omega * zeta, omega = exp(2 pi i / (d-1)),
+    and each swap of neighbours within a value class."""
+    swaps = [(a, b) for cls in classes.classes for a, b in zip(cls, cls[1:])]
+    perms = np.tile(np.arange(d), (len(swaps) + 1, 1))
+    for perm, (a, b) in zip(perms[1:], swaps):
+        perm[[a, b]] = b, a
+    return perms, np.r_[np.exp(2j * np.pi / (d - 1)), np.ones(len(swaps))]
 
 
 def solve_system(
@@ -321,23 +321,18 @@ def solve_system(
 ) -> SolveResult:
     """Multi-start Newton search for all distinct solution tuples.
 
-    Starts are drawn from the disc of radius 4 (min_i |mu_i|)^(-1/(d-1)), so
-    under mu -> c mu they scale with the solutions, zeta -> c^(-1/(d-1)) zeta.
+    Starts are drawn from the disc of radius 4 (min_i |mu_i|)^(-1/(d-1)).
     The first batch has ``STARTS_PER_ORBIT`` starts per orbit of
     G x C_(d-1) that ``expected`` implies, ceil(expected / (|G| (d-1))), and
     each later batch twice the last, both at most ``BATCH_SIZE``; with
     ``expected == 0`` every batch has ``BATCH_SIZE`` starts.
 
-    The new distinct tuples of each batch are closed under G x C_(d-1): the
-    images of the rows last added, under each generator in turn, pass the
-    same residual bound and ``_check_batch`` as Newton rows, until a round
-    adds nothing.  So one converged start yields its whole orbit, and no
-    array of images has more rows than the last round added.  ``starts``
-    counts Newton starts; ``converged`` counts Newton rows below
-    ``EPS_RES`` and ``deduplicated`` those of them that duplicate an
-    accepted tuple or an earlier row of their batch.  So
-    converged >= deduplicated, and there are at most
-    (converged - deduplicated) * |G| * (d-1) tuples.
+    The new distinct tuples of each batch are closed under G x C_(d-1)
+    (``_close``), so one converged start yields its whole orbit.  ``starts``
+    counts Newton starts; ``converged`` counts Newton rows below ``EPS_RES``
+    and ``deduplicated`` those of them that duplicate an accepted tuple or
+    an earlier row of their batch.  So converged >= deduplicated, and there
+    are at most (converged - deduplicated) * |G| * (d-1) tuples.
 
     Stops issuing new starts once ``expected`` tuples are found (candidates
     already in flight are still checked, so an excess solution raises
@@ -345,22 +340,32 @@ def solve_system(
     Raises ``BudgetExhaustedError`` (carrying the partial result) if the
     budget runs out short of ``expected``.
     """
-    return _solve(spec, cfg or SolverConfig(), expected, value_classes(spec))
-
-
-def _solve(
-    spec: Spectrum, cfg: SolverConfig, expected: int | None, classes: ValueClasses
-) -> SolveResult:
-    """``solve_system`` with the value classes of ``spec`` given."""
-    d = spec.d
+    cfg = cfg or SolverConfig()
     system = SigmaSystem(spec)  # refuses d < 3 first
-    _require_solver_degree(d, cfg)
-    if expected is None:
-        expected = fiber_report(spec).e_I0
+    _require_solver_degree(spec.d, cfg)
+    expected = fiber_report(spec).e_I0 if expected is None else expected
+    return _solve(system, cfg, expected, value_classes(spec))
+
+
+def _close(system: SigmaSystem, perms, factors, zeta, residual, last: int, expected: int):
+    """``zeta`` and ``residual`` with the rows from ``last`` on closed under
+    G x C_(d-1): each round passes the images of the rows last added under
+    every generator, as one array, through ``_accept`` until one adds none."""
+    while last < len(zeta):
+        added, last = zeta[last:], len(zeta)
+        C = (added[:, perms] * factors[:, None]).reshape(-1, system.d)
+        norms = np.abs(system.residual(C.T)).max(axis=0)
+        zeta, residual = _accept(C, norms, zeta, residual, expected)[:2]
+    return zeta, residual
+
+
+def _solve(system: SigmaSystem, cfg: SolverConfig, expected: int, classes: ValueClasses):
+    """``solve_system`` on a built system, with the exact count and value classes given."""
+    d = system.d
     rng = random.Random(cfg.seed)  # importing numpy.random costs about 6 MB RSS
     radius = 4.0 * float(np.abs(system.mu).min()) ** (-1.0 / (d - 1))
     budget = cfg.budget_factor * (d - 1) * max(expected // (d - 1), 1)
-    generators = _generators(d, classes)
+    perms, factors = _generators(d, classes)
     orbits = -(-expected // (group_order(classes.sizes) * (d - 1)))
     batch = min(STARTS_PER_ORBIT * orbits, BATCH_SIZE) or BATCH_SIZE
 
@@ -376,12 +381,7 @@ def _solve(
         zeta, residual, conv, dups = _accept(Z, norms, zeta, residual, expected)
         converged += conv
         duplicates += dups
-        while last < len(zeta):  # close the rows added since ``last``
-            added, last = zeta[last:], len(zeta)
-            for perm, factor in generators:
-                C = added[:, perm] * factor
-                C_norms = np.abs(system.residual(C.T)).max(axis=0)
-                zeta, residual = _accept(C, C_norms, zeta, residual, expected)[:2]
+        zeta, residual = _close(system, perms, factors, zeta, residual, last, expected)
 
     # lexicographic by (re, im) of each coordinate; lexsort's last key leads
     order = np.lexsort([part for col in zeta.T[::-1] for part in (col.imag, col.real)])
@@ -482,11 +482,11 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
     d = spec.d
     if d > 2:  # refuse before the exact count; degree 2 is analytic
         _require_solver_degree(d, cfg)
-    mu, lam = _complex_values(spec)  # also refuses before the exact count
+        system = SigmaSystem(spec)  # also refuses before the exact count
+    mu, lam = (system.mu, system.lam) if d > 2 else _complex_values(spec)  # shared with the solve
     counts = fiber_report(spec)
     classes = value_classes(spec)  # the solve and the orbit count share one grouping
     expected_tuples = counts.e_I0
-    expected_orbits = counts.mc_count
 
     if d == 2:
         # Analytic: the unique configuration is (c, -c) with c = -1/(2 mu_1),
@@ -495,7 +495,7 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
         result = SolveResult(np.array([[c, -c]]), np.zeros(1), 0, 1, 0)
     else:
         try:
-            result = _solve(spec, cfg, expected_tuples, classes)
+            result = _solve(system, cfg, expected_tuples, classes)
         except BudgetExhaustedError as exc:
             result = exc.result
 
@@ -530,7 +530,7 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
         d=d,
         expected_tuples=expected_tuples,
         mc_orbits=orbits,
-        expected_orbits=expected_orbits,
+        expected_orbits=counts.mc_count,
         max_multiplier_error=max_err,
         status=status,
         near_collisions=tuple(map(tuple, np.argwhere(near).tolist())),

@@ -42,7 +42,10 @@ the shift vector, and ``spectrum_of_shifts`` clears its denominators with
 ``multfiber.verifier.SigmaSystem.step`` solves each Newton step from the
 Vandermonde structure of the Jacobian.  ``jacobian`` builds that Jacobian
 densely, one d x d matrix per tuple, for a general solver to be checked
-against.
+against.  ``multfiber.verifier._close`` checks the images of the tuples a
+round added under every generator of the symmetry group as one array;
+``close_one_generator_at_a_time`` is the closure it replaced, one check per
+generator, each against the tuples accepted so far.
 
 Two references check the count from outside the partition sums:
 ``groebner_tuple_count`` counts the fixed-point tuples of the polynomial
@@ -77,6 +80,7 @@ from multfiber.frozen import Frozen
 from multfiber.lattice import BlockPartition, Lattice, enumerate_lattice, group_by_low_bit
 from multfiber.polyfam import coarsening_sum
 from multfiber.spectrum import Spectrum, _spectrum, from_shifts
+from multfiber.verifier import _accept
 
 MAX_LISTED_BLOCKS = 11  # Bell(11) = 678,570 partitions: about 2 s to list
 
@@ -563,6 +567,20 @@ def jacobian(system, Z):
         J[:, k, :] = k * system.mu * P
         P = P * Z
     return J
+
+
+def close_one_generator_at_a_time(system, perms, factors, zeta, residual, last, expected):
+    """``zeta`` and ``residual`` with the rows from ``last`` on closed under the
+    generators (rows of ``perms``, with ``factors``), as ``_close`` does, but
+    the images under each generator pass ``_accept`` on their own, after
+    those under the generators before it."""
+    while last < len(zeta):
+        added, last = zeta[last:], len(zeta)
+        for perm, factor in zip(perms, factors):
+            C = added[:, perm] * factor
+            norms = np.abs(system.residual(C.T)).max(axis=0)
+            zeta, residual = _accept(C, norms, zeta, residual, expected)[:2]
+    return zeta, residual
 
 
 # --- the parse that spectrum_from_obj replaced --------------------------------------

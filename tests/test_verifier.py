@@ -34,7 +34,15 @@ from multfiber.verifier import (
     solve_system,
     verify_spectrum,
 )
-from reference import I, ZERO, as_gaussian, fiber_size_closed_form, jacobian, planted_spectrum
+from reference import (
+    I,
+    ZERO,
+    as_gaussian,
+    close_one_generator_at_a_time,
+    fiber_size_closed_form,
+    jacobian,
+    planted_spectrum,
+)
 
 FIXTURE = ["0", "2", "1/2", "3/2"]
 
@@ -725,6 +733,29 @@ def test_closure_checks_no_array_much_larger_than_the_fiber(monkeypatch):
     assert max(sizes) <= 2 * 120
 
 
+@pytest.mark.parametrize(
+    "shifts, status, checks",
+    [
+        ([1, 1, 1, 1, 1, -5], "verified", 8),  # 36 with one check per generator
+        (["1+1i", "2", "-3-1i", "1+1i", "2", "-3-1i"], "verified", 7),  # 26
+        ([1, 1, -2, 2, 2, -4], "verified", 14),  # 38
+        ([1, -1, 1, -1], "consistent", 0),  # 30 batches, no row converges
+    ],
+)
+def test_closure_checks_each_round_once(monkeypatch, shifts, status, checks):
+    calls = []
+    check = verifier._check_batch
+
+    def spy(C, accepted, expected):
+        calls.append(len(C))
+        return check(C, accepted, expected)
+
+    monkeypatch.setattr(verifier, "_check_batch", spy)
+    report = verify_spectrum(from_shifts(shifts))
+    assert report.status == status
+    assert len(calls) <= checks
+
+
 def test_closure_raises_past_a_too_small_expected_count():
     # 2 starts converge once; the omega image is the second tuple
     with pytest.raises(SpuriousSolutionError, match="expected 1$"):
@@ -811,6 +842,25 @@ def test_start_schedule_keeps_the_budget_and_the_verdict(case):
     assert repr(again) == repr(report)  # every count and the verdict
     assert np.array_equal(again.zeta, report.zeta)
     assert np.array_equal(again.residual, report.residual)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(pooled_spectra(), st.sampled_from(EMPTY_FIBERS).map(from_shifts)),
+    st.integers(0, 5),
+)
+def test_closure_matches_the_one_generator_at_a_time_reference(spec, seed):
+    cfg = SolverConfig(seed=seed)
+    report = verify_spectrum(spec, cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verifier, "_close", close_one_generator_at_a_time)
+        slow = verify_spectrum(spec, cfg)
+    for name in ("status", "starts", "converged", "deduplicated", "found_tuples", "mc_orbits"):
+        assert getattr(report, name) == getattr(slow, name), name
+    # the tuples match one to one within EPS_DUP, relative
+    tol = verifier.EPS_DUP * np.maximum(1.0, np.abs(slow.zeta).max(axis=1))
+    near = np.abs(report.zeta[:, None, :] - slow.zeta[None, :, :]).max(axis=2) < tol
+    assert (near.sum(axis=0) == 1).all() and (near.sum(axis=1) == 1).all()
 
 
 def test_verify_generic_degree_seven_within_a_short_budget():
