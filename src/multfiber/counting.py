@@ -35,7 +35,7 @@ arbitrary-precision integers, so concurrent evaluation is safe.
 
 from __future__ import annotations
 
-from math import comb, factorial, gcd
+from math import factorial, gcd
 
 from .errors import (
     DivisibilityError,
@@ -43,7 +43,7 @@ from .errors import (
     InvariantViolationError,
 )
 from .frozen import Frozen
-from .lattice import Lattice, group_by_low_bit, packed_shifts, zero_sum_vectors
+from .lattice import Lattice, block_pairs, packed_shifts, zero_sum_vectors
 from .spectrum import Spectrum, ValueClasses, group_order, value_classes
 
 ENGINES = ("subspectra", "refinement")
@@ -167,8 +167,8 @@ class FiberReport(Frozen):
 
     @property
     def engines(self) -> dict[str, int]:
-        """The count by route; ``fiber_report`` checked that they agree."""
-        return dict.fromkeys((*ENGINES, "closed_form"), self.s_d)
+        """The count by formula; ``fiber_report`` checked that they agree."""
+        return dict.fromkeys(("subspectra", "closed_form"), self.s_d)
 
     @property
     def gw_flags(self) -> tuple[int, ...]:
@@ -180,42 +180,24 @@ def fiber_report(spec: Spectrum) -> FiberReport:
 
     A row serves every set B of one class vector v (``zero_sum_vectors``,
     one class per ``value_classes`` class): a proper partition of B is its
-    block b holding a fixed index of v's first class i with a partition of
-    B - b (zero-sum, smaller, visited earlier).  There are
-    C(v_i - 1, u_i - 1) * prod_{j != i} C(v_j, u_j) blocks b of vector u,
-    and B - b has vector v ^ u with each repeated class's bits moved down by
-    u_j (Stanley, EC2 5.1).  g[k] sums prod w(C) over the k-block
-    partitions and g[1] = w(B) = (|B|-1) * count; the signed sum is
+    block b holding a fixed index with a partition of B - b, as ``block_pairs``
+    gives them.  g[k] sums prod w(C) over the k-block partitions and
+    g[1] = w(B) = (|B|-1) * count; the signed sum is
     F(B) = (|B|-1)! - (d-1) * sum_b (|b|-1)! * F(B-b), d the full degree, and
-    C(B) = 1 + sum_b C(B-b), P for the full set.  ``group_by_low_bit`` bounds
-    the pairs (u, v).  The report derives the discrete counts from ``s_d``
-    and the class sizes: the count's bounds and both exact divisions are
-    checked before it is built.
+    C(B) = 1 + sum_b C(B-b), P for the full set.  The report derives the
+    discrete counts from ``s_d`` and the class sizes: the count's bounds and
+    both exact divisions are checked before it is built.
     """
     d = spec.d
     classes, packed = value_classes(spec), packed_shifts(spec)
     vectors, fields, zero_sum = zero_sum_vectors([(packed[c[0]], len(c)) for c in classes.classes])
     fact = [factorial(i) for i in range(d + 1)]
-    by_low = group_by_low_bit(vectors)
-
     rows: dict[int, tuple[list[int], int, int]] = {}
-    # Ascending vectors: every u <= v comes before v.
-    for v in vectors:
+    for v, blocks in block_pairs(vectors, fields):  # ascending: every u <= v comes first
         n = v.bit_count()
         g = [0] * (n // 2 + 1)  # blocks have size >= 2, index = block count
         signed = count = 0
-        for u in by_low[v & -v]:
-            if u >= v:
-                break
-            if u & ~v:
-                continue
-            rest, ways = v ^ u, 1
-            for field in fields:
-                if f := rest & field:
-                    t = (u & field).bit_count()
-                    rest ^= f ^ (f >> t)
-                    fixed = bool(v & -v & field)  # the fixed index is in this class
-                    ways *= comb(t + f.bit_count() - fixed, t - fixed)
+        for u, rest, ways in blocks:
             wb = rows[u][0][1] * ways
             rg, rf, rc = rows[rest]
             for k in range(1, len(rg)):

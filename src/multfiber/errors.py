@@ -61,8 +61,8 @@ class DimensionCapError(InputError):
     and again per lowest bit), partitions the lattice builds
     (``lattice.MAX_PARTITIONS``, checked against ``fiber_report``'s P when
     a shift repeats, else against the covers), the states of a size
-    vector's or a whole sweep's coarsening passes, 3^l per vector of l
-    blocks (``polyfam.MAX_STATES``), the block count l of
+    vector's coarsening pass, counted over its classes of equal sizes, or a
+    whole sweep's (``polyfam.MAX_STATES``), the block count l of
     ``collapsed_poly``, ``coarsening_value`` and the polynomial table
     (``polyfam.MAX_TABLE_L``), the solver's degree cap and the float range
     of its shifts and multipliers.

@@ -15,7 +15,7 @@ and ``zero_sum_subsets`` is the scan with each index its own class.  An
 exact-cover search assembles partitions, always extending with the block
 containing the smallest uncovered index, so each comes once and in
 canonical block order.  ``MAX_SCAN_DEGREE`` bounds the scan,
-``MAX_PAIR_WORK`` the pairs that the counting pass (vector pairs) and the
+``MAX_PAIR_WORK`` the pairs that ``block_pairs`` (vector pairs) and the
 cover search (block pairs) try, and ``MAX_PARTITIONS`` the partitions the
 lattice builds, each refused from a count made before the work: of the
 zero-sum vectors, or of the partitions (P when a shift repeats, else the
@@ -49,10 +49,10 @@ def mask_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def subset_sums(values, sizes=None) -> list[int]:
-    """sums[i] = sum of c_j * values[j], c_j <= sizes[j] (default 1) the mixed-radix digits of i."""
+def subset_sums(values, sizes) -> list[int]:
+    """sums[i] = sum of c_j * values[j], c_j <= sizes[j] the mixed-radix digits of i."""
     sums = [0]
-    for v, m in zip(values, repeat(1) if sizes is None else sizes):
+    for v, m in zip(values, sizes):
         block = sums
         for _ in range(m):  # the sums with digit c = 1, ..., m
             sums += (block := [s + v for s in block])
@@ -140,7 +140,7 @@ def zero_sum_subsets(spec: "Spectrum") -> list[int]:
 def group_by_low_bit(masks: list[int]) -> dict[int, list[int]]:
     """Masks keyed by their lowest set bit, each list in the given order.
 
-    The cover search and the counting pass join only masks (or vectors) that
+    The cover search and ``block_pairs`` join only masks (or vectors) that
     share their lowest bit, so they try at most W = sum of C(len(group), 2)
     pairs; W above ``MAX_PAIR_WORK`` raises ``DimensionCapError``.
     """
@@ -153,6 +153,34 @@ def group_by_low_bit(masks: list[int]) -> dict[int, list[int]]:
             f"{work} block pairs above the pair-work limit {MAX_PAIR_WORK}"
         )
     return groups
+
+
+def block_pairs(vectors: list[int], fields: list[int]) -> Iterator[tuple[int, list]]:
+    """Each class vector v, ascending, with its proper blocks u through its fixed index.
+
+    Masks as ``zero_sum_vectors`` builds them; ``fields`` are the repeated
+    classes' bits, and the fixed index is v's lowest bit, in class i.  Each
+    block is (u, rest, ways): rest is v ^ u with each field's bits moved down,
+    ways = C(v_i - 1, u_i - 1) * prod_{j != i} C(v_j, u_j) (Stanley, EC2 5.1).
+    ``fiber_report`` folds it over the zero-sum vectors, ``polyfam`` over all.
+    """
+    by_low = group_by_low_bit(vectors)
+    for v in vectors:
+        low, pairs = v & -v, []
+        for u in by_low[low]:
+            if u >= v:
+                break
+            if u & ~v:
+                continue
+            rest, ways = v ^ u, 1
+            for field in fields:
+                if f := rest & field:
+                    t = (u & field).bit_count()
+                    rest ^= f ^ (f >> t)
+                    fixed = bool(low & field)  # the fixed index is in this class
+                    ways *= comb(t + f.bit_count() - fixed, t - fixed)
+            pairs.append((u, rest, ways))
+        yield v, pairs
 
 
 class BlockPartition(Frozen):

@@ -3,8 +3,8 @@
 For a partition with l blocks, summing a signed product over all its
 k-block coarsenings yields a quantity that depends only on l, k and the
 total degree d.  This module carries that machinery in three equivalent
-layers: the sum on explicit block sizes (``coarsening_sum``, one pass of
-the lowest-block recurrence over the 2^l subsets of the blocks, which
+layers: the sum on explicit block sizes (``coarsening_sum``, one
+``lattice.block_pairs`` pass over the class vectors of equal sizes, which
 lists no partition), the one-variable integer polynomial in d obtained
 by collapsing (``collapsed_poly``: [d^m] p(l, k) = (-1)^m C(l-1, m) S(l-m, k),
 S the Stirling numbers of the second kind, so p(l, k)(d) is the non-central
@@ -13,7 +13,7 @@ and the evaluated value (``coarsening_value``).  On top of it sits the signed
 vanishing sum over all coarsenings, zero for every size vector: the engine of
 the closed-form count.  Collapsed, it is that expansion of 0^(l-1) at x = d-1,
 a = 1-d: sum_k (d-1)...(d-k+1) p(l, k)(d) = 0.  ``vanishing_sweep`` checks it on
-size multisets; one of l blocks costs 3^l states, ``MAX_STATES`` bounding a vector or sweep.
+size multisets; ``MAX_STATES`` bounds a vector (3^l states for l distinct sizes) or sweep.
 
 Everything here is exact integer arithmetic over abstract partitions; no
 spectrum is needed.  Outputs are immutable and nothing is cached.
@@ -22,14 +22,14 @@ spectrum is needed.  Outputs are immutable and nothing is cached.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, prod
 
 from .errors import DimensionCapError
 from .frozen import Frozen
-from .lattice import subset_sums
+from .lattice import block_pairs
 
-# A size vector of l blocks costs 3^l states: its row pass joins (3^l - 1)/2
-# block pairs over 2^l subsets, about 0.6-1 us per state, so 2-3 s at the limit.
+# l sizes in r classes of m_j: prod C(m_j + 2, 2) pairs u <= v, times their mean row (l + 3)/3
+# over that of r distinct sizes, (r + 3)/3; so 3^l states if r = l.  0.4-1.4 us each, up to 4 s.
 MAX_STATES = 3_000_000
 # Bounds l in collapsed_poly, and so coarsening_value, and the polyfam table by the
 # table's size: 574k big-integer coefficients for l <= 150, about 2.5 s and 440 MB to print.
@@ -85,32 +85,31 @@ class IntPolynomial(Frozen):
 # --- coarsening sums ----------------------------------------------------------
 
 def _coarsening_row(xs: tuple[int, ...]) -> list[int]:
-    """Coarsening sums of all l = len(xs) blocks, indexed by k = 0..l.
-
-    One ascending pass over the 2^l subsets S of the blocks: a k-block
-    partition of S is the block J holding the lowest element of S with a
-    (k-1)-block partition of S - J (smaller, visited earlier), so each is
-    counted once.  Refuses 3^l above ``MAX_STATES`` (14 blocks or more).
-    """
-    if 3 ** len(xs) > MAX_STATES:
-        raise DimensionCapError(f"3^{len(xs)} states above the state limit {MAX_STATES}")
-    sums = subset_sums(xs)  # sums[J] is the sum of xs over J
-    weight = [0] + [(1 - sums[j]) ** (j.bit_count() - 1) for j in range(1, len(sums))]
-    rows = [[1]]  # rows[S][k] sums the k-block partitions of S; one of the empty set
-    for mask in range(1, len(sums)):
-        low = mask & -mask
-        rest = mask ^ low
-        row = [0] * (mask.bit_count() + 1)
-        t = rest
-        while True:  # every block J = low | t with t a subset of rest
-            w = weight[low | t]
-            for k, c in enumerate(rows[rest ^ t]):
-                row[k + 1] += w * c
-            if not t:
-                break
-            t = (t - 1) & rest
-        rows.append(row)
-    return rows[-1]
+    """Coarsening sums of all l = len(xs) blocks, indexed by k = 0..l: one ``block_pairs``
+    pass over the class vectors of equal entries (the sum is symmetric), a k-block
+    partition being the block with the fixed index and a (k-1)-block one of the rest."""
+    classes = dict.fromkeys(xs, 0)
+    for x in xs:
+        classes[x] += 1
+    states = prod(comb(m + 2, 2) for m in classes.values()) * (len(xs) + 3) // (len(classes) + 3)
+    if states > MAX_STATES:
+        raise DimensionCapError(f"{states} states above the state limit {MAX_STATES}")
+    vectors, sums, fields, off = [0], [0], [], 0  # each vector's mask and sum of xs, ascending
+    for x, m in classes.items():  # the class owns m bits above those before it
+        vectors = [v | ((1 << c) - 1) << off for c in range(m + 1) for v in vectors]
+        sums = [s + c * x for c in range(m + 1) for s in sums]
+        fields += [((1 << m) - 1) << off] * (m > 1)
+        off += m
+    rows = {}  # rows[v][k] sums the k-block partitions of a set of vector v; [1] is its weight
+    for (v, blocks), s in zip(block_pairs(vectors[1:], fields), sums[1:]):
+        row = [0] * (v.bit_count() + 1)
+        row[1] = (1 - s) ** (v.bit_count() - 1)
+        for u, rest, ways in blocks:
+            w = rows[u][1] * ways
+            for k, c in enumerate(rows[rest], 1):
+                row[k] += w * c
+        rows[v] = row
+    return row
 
 
 def coarsening_sum(l: int, k: int, xs) -> int:

@@ -28,11 +28,7 @@ def test_count_fixture():
     assert doc["mc_count"] == "3"
     assert doc["mp_count"] == "1"
     assert doc["agreement"] is True
-    assert doc["engines"] == {
-        "subspectra": "1",
-        "refinement": "1",
-        "closed_form": "1",
-    }
+    assert doc["engines"] == {"subspectra": "1", "closed_form": "1"}
     # counts are strings so arbitrary precision survives JSON
     assert isinstance(doc["s_d"], str)
 
@@ -149,8 +145,8 @@ def test_identity_check_bad_sizes():
     assert code == 1 and err.strip()
     code, _, _ = run_cli("identity-check", "--sizes", "4")
     assert code == 1
-    # 3^14 states pass MAX_STATES: refused before the row pass starts
-    code, _, err = run_cli("identity-check", "--sizes", ",".join(["2"] * 14))
+    # 14 distinct sizes, 3^14 states, pass MAX_STATES: refused before the row pass starts
+    code, _, err = run_cli("identity-check", "--sizes", ",".join(map(str, range(2, 16))))
     assert code == 1 and "state limit" in err
 
 

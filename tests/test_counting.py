@@ -227,7 +227,7 @@ def test_fiber_report_fields():
     assert report.mp_count == 1
     assert report.kappa_sizes == (1, 1, 1, 1)
     assert report.gw_flags == (1, 1, 1, 1)
-    assert set(report.engines) == {"subspectra", "refinement", "closed_form"}
+    assert set(report.engines) == {"subspectra", "closed_form"}
     assert report.lattice_partitions == 2
     assert report.zero_sum_subsets == 2
     # four fields, the class sizes one byte each; d is their sum
@@ -375,7 +375,7 @@ def test_fiber_report_matches_partition_references(spec):
     report = fiber_report(spec)
     count = mask_counts(spec)[0]
     assert all_routes(spec, lat) == (count, count, count)
-    assert report.engines == {"subspectra": count, "refinement": count, "closed_form": count}
+    assert report.engines == {"subspectra": count, "closed_form": count}
     assert report.lattice_partitions == len(lat.partitions)
     assert report.zero_sum_subsets == lat.zero_sum_count
 

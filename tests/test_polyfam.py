@@ -196,6 +196,10 @@ def test_vanishing_sum_examples():
     assert vanishing_sum((2, 2)) == 0
     assert vanishing_sum((2, 2, 2)) == 0
     assert vanishing_sum((3, 2, 2, 4)) == 0
+    # repeated sizes: few class vectors, far past 13 distinct sizes
+    assert vanishing_sum((2,) * 14) == 0
+    assert vanishing_sum((2,) * 100) == 0
+    assert vanishing_sum((2,) * 15 + (3,) * 15) == 0
     with pytest.raises(ValueError):
         vanishing_sum((4,))
 
@@ -203,17 +207,18 @@ def test_vanishing_sum_examples():
 def test_vanishing_sum_checks_blocks_before_huge_sizes():
     start = time.perf_counter()
     assert vanishing_sum((2, 10**6)) == 0
+    assert vanishing_sum((10**6,) * 14) == 0  # one class: 120 * 17/4 = 510 states
     with pytest.raises(DimensionCapError, match="state limit"):
-        vanishing_sum((10**6,) * 14)
+        vanishing_sum(tuple(range(10**6, 10**6 + 14)))
     assert time.perf_counter() - start < 1.0
 
 
 def test_vanishing_sum_builds_no_partition_list():
-    # one row per subset: about 0.3 MiB at l = 10, where the Bell(10)
-    # partition list takes about 41 MiB
+    # one row per subset of 10 distinct sizes, where the Bell(10) partition
+    # list takes about 41 MiB
     tracemalloc.start()
     try:
-        assert vanishing_sum((2,) * 10) == 0
+        assert vanishing_sum(tuple(range(2, 12))) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -226,8 +231,40 @@ def test_vanishing_sum_sweep_small():
             assert vanishing_sum(sizes) == 0
 
 
-def _no_row_pass(xs):
-    raise AssertionError(f"row pass over {len(xs)} blocks started")
+@pytest.mark.parametrize("l", [20, 40, 60, 100])
+def test_coarsening_sum_collapses_on_repeated_sizes(l):
+    # past 13 distinct sizes: one class of l, and classes of l - 2 and 2
+    for xs in [(2,) * l, (7,) * (l - 2) + (3,) * 2]:
+        row = polyfam._coarsening_row(xs)
+        assert row[1:] == [collapsed_poly(l, k)(sum(xs)) for k in range(1, l + 1)]
+        for k in (2, l // 2):
+            assert coarsening_sum(l, k, xs) == row[k]
+
+
+def _states(monkeypatch, xs) -> int:
+    monkeypatch.setattr(polyfam, "MAX_STATES", 0)  # every vector is refused with its charge
+    with pytest.raises(DimensionCapError) as info:
+        vanishing_sum(xs)
+    return int(str(info.value).split()[0])
+
+
+def test_state_charge_over_classes_of_equal_sizes(monkeypatch):
+    for l in range(2, 14):
+        assert _states(monkeypatch, tuple(range(2, l + 2))) == 3**l
+    for l in (2, 14, 100):  # C(l + 2, 2) pairs u <= v, rows (l + 3)/4 times one size's
+        assert _states(monkeypatch, (5,) * l) == comb(l + 2, 2) * (l + 3) // 4
+    assert _states(monkeypatch, (2, 2, 3)) == 6 * 3 * 6 // 5
+
+
+def test_state_charge_stays_within_the_sweep_bound(monkeypatch):
+    # the sweep charges 3^l per vector of l sizes, which must bound each vector's own charge
+    for l in range(2, 9):
+        for xs in itertools.combinations_with_replacement(range(2, l + 2), l):
+            assert _states(monkeypatch, xs) <= 3**l
+
+
+def _no_row_pass(vectors, fields):
+    raise AssertionError(f"row pass over {len(vectors)} class vectors started")
 
 
 @pytest.mark.parametrize(
@@ -235,12 +272,15 @@ def _no_row_pass(xs):
     [
         lambda: vanishing_sweep(2, 1225),  # 749,700 vectors of 9 states: 6.75e6
         lambda: vanishing_sweep(10, 4),  # 5.4e6 states
-        lambda: vanishing_sum((2,) * 14),  # 3^14 = 4.8e6 states
+        lambda: vanishing_sum(tuple(range(2, 16))),  # 3^14 = 4.8e6 states
+        lambda: vanishing_sum((2,) * 287),  # one class: C(289, 2) * 290/4 = 3.02e6 states
+        lambda: vanishing_sum((2, 3) * 30),  # two: C(32, 2)^2 * 63/5 = 3.1e6 states
+        lambda: vanishing_sum((2,) * 2000),  # 2.0e6 vector pairs, each a row of ~670 terms
     ],
 )
 def test_refusals_come_before_any_row_pass(monkeypatch, refused):
-    # every row pass starts from the subset sums of its blocks
-    monkeypatch.setattr(polyfam, "subset_sums", _no_row_pass)
+    # every row pass is a fold over block_pairs
+    monkeypatch.setattr(polyfam, "block_pairs", _no_row_pass)
     with pytest.raises(DimensionCapError, match="state limit 3000000"):
         refused()
 
