@@ -1,6 +1,6 @@
 """Command-line surface: JSON in, JSON out.
 
-Subcommands: ``count`` (all counting routes plus agreement check),
+Subcommands: ``count`` (the recursion and the closed form, checked to agree),
 ``lattice`` (dump the zero-sum partitions), ``polyfam`` (the coarsening
 polynomial table), ``identity-check`` (the vanishing sum over size
 vectors), ``verify`` (the numerical oracle) and ``gen`` (seeded spectrum

@@ -60,9 +60,9 @@ class DimensionCapError(InputError):
     count of zero-sum class vectors, or of an exact plan's block unions,
     and again per lowest bit), partitions the lattice builds
     (``lattice.MAX_PARTITIONS``, checked against ``fiber_report``'s P when
-    a shift repeats, else against the covers), the states of a size
-    vector's coarsening pass, counted over its classes of equal sizes, or a
-    whole sweep's (``polyfam.MAX_STATES``), the block count l of
+    a shift repeats, and against the pair fold's count), the states of a
+    size vector's coarsening pass, counted over its classes of equal sizes,
+    or a sweep's sum of them (``polyfam.MAX_STATES``), the block count l of
     ``collapsed_poly``, ``coarsening_value`` and the polynomial table
     (``polyfam.MAX_TABLE_L``), the solver's degree cap and the float range
     of its shifts and multipliers.

@@ -11,15 +11,16 @@ scan sums the class vectors of each half of the classes exactly (the
 shifts are integers over one denominator) and decodes only the vectors
 whose halves cancel: with distinct shifts, 2 * 2^ceil(d/2) sums, not 2^d.
 ``zero_sum_join`` counts those vectors, ``zero_sum_vectors`` decodes them,
-and ``zero_sum_subsets`` is the scan with each index its own class.  An
-exact-cover search assembles partitions, always extending with the block
-containing the smallest uncovered index, so each comes once and in
-canonical block order.  ``MAX_SCAN_DEGREE`` bounds the scan,
-``MAX_PAIR_WORK`` the pairs that ``block_pairs`` (vector pairs) and the
-cover search (block pairs) try, and ``MAX_PARTITIONS`` the partitions the
-lattice builds, each refused from a count made before the work: of the
-zero-sum vectors, or of the partitions (P when a shift repeats, else the
-covers listed one past the limit).  Results are immutable and shareable.
+and ``zero_sum_subsets`` is the scan with each index its own class.  One
+pair step, ``block_pairs``, joins a set's block through its lowest index
+to a partition of the rest; the lattice folds it over the zero-sum masks,
+counting each mask's partitions, then unfolds the full mask, each
+partition once and in canonical block order.  ``MAX_SCAN_DEGREE`` bounds
+the scan, ``MAX_PAIR_WORK`` the pairs ``block_pairs`` tries and
+``MAX_PARTITIONS`` the partitions the lattice builds, each refused from a
+count made before the work: of the zero-sum vectors, then of the pairs per
+lowest bit; of the partitions, P from ``fiber_report`` before the scan when
+a shift repeats, then the fold's.  Results are immutable and shareable.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, compress, repeat
 from math import comb, isqrt
 from operator import itemgetter, mul
 
@@ -36,7 +37,7 @@ from .frozen import Frozen
 
 MAX_SCAN_DEGREE = 38  # each half at most 3 * 2^19 sums: under 1 s and 200 MB
 MAX_PAIR_WORK = 10**8  # pairs: about 10 s of counting at 100 ns each
-MAX_PARTITIONS = 10**6  # partitions the lattice builds: about 11 s and 300 MB
+MAX_PARTITIONS = 10**6  # partitions the lattice builds: about 5.5 s and 270 MB
 
 
 def mask_indices(mask: int) -> tuple[int, ...]:
@@ -140,9 +141,9 @@ def zero_sum_subsets(spec: "Spectrum") -> list[int]:
 def group_by_low_bit(masks: list[int]) -> dict[int, list[int]]:
     """Masks keyed by their lowest set bit, each list in the given order.
 
-    The cover search and ``block_pairs`` join only masks (or vectors) that
-    share their lowest bit, so they try at most W = sum of C(len(group), 2)
-    pairs; W above ``MAX_PAIR_WORK`` raises ``DimensionCapError``.
+    ``block_pairs`` joins only masks (or vectors) that share their lowest
+    bit, so it tries at most W = sum of C(len(group), 2) pairs; W above
+    ``MAX_PAIR_WORK`` raises ``DimensionCapError``.
     """
     groups: dict[int, list[int]] = {}
     for mask in masks:
@@ -162,15 +163,16 @@ def block_pairs(vectors: list[int], fields: list[int]) -> Iterator[tuple[int, li
     classes' bits, and the fixed index is v's lowest bit, in class i.  Each
     block is (u, rest, ways): rest is v ^ u with each field's bits moved down,
     ways = C(v_i - 1, u_i - 1) * prod_{j != i} C(v_j, u_j) (Stanley, EC2 5.1).
-    ``fiber_report`` folds it over the zero-sum vectors, ``polyfam`` over all.
+    ``fiber_report`` folds it over the zero-sum vectors, ``polyfam`` over all,
+    and ``enumerate_lattice`` over the zero-sum masks with no fields.
     """
     by_low = group_by_low_bit(vectors)
     for v in vectors:
-        low, pairs = v & -v, []
+        low, outside, pairs = v & -v, ~v, []
         for u in by_low[low]:
             if u >= v:
                 break
-            if u & ~v:
+            if u & outside:
                 continue
             rest, ways = v ^ u, 1
             for field in fields:
@@ -236,23 +238,17 @@ class Lattice(Frozen):
         return self.partitions[1:]
 
 
-def _cover_partitions(by_low: dict[int, list[int]], full: int) -> Iterator[tuple[int, ...]]:
-    """Exact covers of ``full`` by the grouped blocks, canonical order."""
-    chosen: list[int] = []
+def _unfold(pairs: dict[int, list], v: int, head=()) -> Iterator[tuple[int, ...]]:
+    """``head`` followed by each partition of v, once, in canonical block order:
+    v whole, then each block u through v's lowest index with each partition of the rest."""
+    yield (*head, v)
+    for u, rest, _ in pairs[v]:
+        yield from _unfold(pairs, rest, (*head, u))
 
-    def extend(covered: int):
-        if covered == full:
-            yield tuple(chosen)
-            return
-        free = ~covered & full
-        for mask in by_low.get(free & -free, ()):
-            if mask & covered:
-                continue
-            chosen.append(mask)
-            yield from extend(covered | mask)
-            chosen.pop()
 
-    yield from extend(0)
+def _check_partitions(count: int) -> None:
+    if count > MAX_PARTITIONS:
+        raise DimensionCapError(f"{count} partitions above the partition limit {MAX_PARTITIONS}")
 
 
 def enumerate_lattice(spec: "Spectrum") -> Lattice:
@@ -260,18 +256,17 @@ def enumerate_lattice(spec: "Spectrum") -> Lattice:
     from .counting import fiber_report  # counting and spectrum build on this module
     from .spectrum import value_classes
     d = spec.d
-    # Repeated shifts multiply the covers, not the class vectors: count P first.
-    # With distinct shifts that pass would cost about a fifth of the lattice.
+    # Repeated shifts multiply the partitions, not the class vectors: count P first.
+    # With distinct shifts that pass would repeat the fold below.
     if len(value_classes(spec).classes) < d:
-        if (count := fiber_report(spec).lattice_partitions) > MAX_PARTITIONS:
-            raise DimensionCapError(f"{count} partitions above the partition limit {MAX_PARTITIONS}")
+        _check_partitions(fiber_report(spec).lattice_partitions)
     subsets = zero_sum_subsets(spec)
     full = (1 << d) - 1
-    by_low = group_by_low_bit(subsets + [full])  # whole set sums to zero
-    partitions = list(islice(_cover_partitions(by_low, full), MAX_PARTITIONS + 1))
-    if len(partitions) > MAX_PARTITIONS:
-        raise DimensionCapError(f"more than {MAX_PARTITIONS} partitions, above the partition limit")
-    for i, blocks in enumerate(partitions):  # in place: each cover is freed as it goes
-        partitions[i] = BlockPartition(blocks)
+    pairs, counts = {}, {}  # each mask's (u, rest, 1) and its partition count
+    for v, blocks in block_pairs(subsets + [full], []):  # whole set sums to zero
+        pairs[v] = blocks
+        counts[v] = 1 + sum([counts[rest] for _, rest, _ in blocks])
+    _check_partitions(counts[full])
+    partitions = list(map(BlockPartition, _unfold(pairs, full)))
     partitions.sort(key=lambda p: (p.block_count, p.blocks))
     return Lattice(d, tuple(partitions), len(subsets))

@@ -13,7 +13,7 @@ and the evaluated value (``coarsening_value``).  On top of it sits the signed
 vanishing sum over all coarsenings, zero for every size vector: the engine of
 the closed-form count.  Collapsed, it is that expansion of 0^(l-1) at x = d-1,
 a = 1-d: sum_k (d-1)...(d-k+1) p(l, k)(d) = 0.  ``vanishing_sweep`` checks it on
-size multisets; ``MAX_STATES`` bounds a vector (3^l states for l distinct sizes) or sweep.
+size multisets; ``MAX_STATES`` bounds a vector's states (3^l for l distinct sizes) or a sweep's.
 
 Everything here is exact integer arithmetic over abstract partitions; no
 spectrum is needed.  Outputs are immutable and nothing is cached.
@@ -28,8 +28,7 @@ from .errors import DimensionCapError
 from .frozen import Frozen
 from .lattice import block_pairs
 
-# l sizes in r classes of m_j: prod C(m_j + 2, 2) pairs u <= v, times their mean row (l + 3)/3
-# over that of r distinct sizes, (r + 3)/3; so 3^l states if r = l.  0.4-1.4 us each, up to 4 s.
+# States of a vector (``_size_classes``) or the sum of a sweep's: 0.4-1.4 us each, up to 4 s.
 MAX_STATES = 3_000_000
 # Bounds l in collapsed_poly, and so coarsening_value, and the polyfam table by the
 # table's size: 574k big-integer coefficients for l <= 150, about 2.5 s and 440 MB to print.
@@ -84,14 +83,21 @@ class IntPolynomial(Frozen):
 
 # --- coarsening sums ----------------------------------------------------------
 
+def _size_classes(xs: tuple[int, ...]) -> tuple[dict[int, int], int]:
+    """Each entry's count m_j, and the states of a coarsening pass over xs: prod C(m_j + 2, 2)
+    pairs u <= v, times their rows' (l + 3)/3 terms over (r + 3)/3 for r classes; 3^l if r = l."""
+    classes = dict.fromkeys(xs, 0)
+    for x in xs:
+        classes[x] += 1
+    states = prod(comb(m + 2, 2) for m in classes.values())
+    return classes, states * (len(xs) + 3) // (len(classes) + 3)
+
+
 def _coarsening_row(xs: tuple[int, ...]) -> list[int]:
     """Coarsening sums of all l = len(xs) blocks, indexed by k = 0..l: one ``block_pairs``
     pass over the class vectors of equal entries (the sum is symmetric), a k-block
     partition being the block with the fixed index and a (k-1)-block one of the rest."""
-    classes = dict.fromkeys(xs, 0)
-    for x in xs:
-        classes[x] += 1
-    states = prod(comb(m + 2, 2) for m in classes.values()) * (len(xs) + 3) // (len(classes) + 3)
+    classes, states = _size_classes(xs)
     if states > MAX_STATES:
         raise DimensionCapError(f"{states} states above the state limit {MAX_STATES}")
     vectors, sums, fields, off = [0], [0], [], 0  # each vector's mask and sum of xs, ascending
@@ -197,21 +203,19 @@ def vanishing_sum(block_sizes) -> int:
 def vanishing_sweep(max_l: int, max_size: int) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
     """``vanishing_sum`` on every multiset of 2..max_l sizes in 2..max_size (the
     sum is symmetric): the vectors checked and the (sizes, sum) of each nonzero
-    sum.  Refused before any is checked when their states, the sum over l of
-    C(l + max_size - 2, l) * 3^l, pass ``MAX_STATES``."""
+    sum.  Refused before any is checked when the sum of their states passes
+    ``MAX_STATES``; each costs at least 7, so that sum visits at most 430k."""
     ls = range(2, max_l + 1 if max_size >= 2 else 2)  # max_size < 2: no vector
-    states = 0
-    for l in ls:  # 3^l >= 9 grows, so this stops by l = 14
-        states += comb(l + max_size - 2, l) * 3**l
+
+    def multisets():
+        return (xs for l in ls for xs in combinations_with_replacement(range(2, max_size + 1), l))
+
+    checked = states = 0
+    for sizes in multisets():
+        checked, states = checked + 1, states + _size_classes(sizes)[1]
         if states > MAX_STATES:
             raise DimensionCapError(f"sweep of {states} states above the state limit {MAX_STATES}")
-    checked, failures = 0, []
-    for l in ls:
-        for sizes in combinations_with_replacement(range(2, max_size + 1), l):
-            checked += 1
-            if total := vanishing_sum(sizes):
-                failures.append((sizes, total))
-    return checked, failures
+    return checked, [(xs, total) for xs in multisets() if (total := vanishing_sum(xs))]
 
 
 def collapsed_table(max_l: int) -> list[tuple[int, int, IntPolynomial]]:

@@ -9,6 +9,12 @@ against.
 of two halves of the value classes.  The scan kept here builds the exact
 sums of all 2^d index subsets.
 
+``multfiber.lattice.enumerate_lattice`` counts the partitions by one
+``block_pairs`` fold over the zero-sum masks and unfolds them top-down.
+``cover_lattice`` lists them by the exact-cover search it replaced
+(``cover_partitions``): always extend by a block through the smallest
+uncovered index, each mask tried against the blocks chosen so far.
+
 ``multfiber.counting.fiber_report`` is the pass: it evaluates the paper's
 two formulas, the sub-spectrum recursion and the closed form, in one pass
 over the zero-sum class vectors.  Two tiers of references sit below it.  ``mask_counts`` is
@@ -59,6 +65,7 @@ weights over the refinement walk, and the restriction identity of
 
 import random
 import re
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
@@ -77,7 +84,13 @@ from multfiber.errors import (
 )
 from multfiber.exactnum import parse_literal
 from multfiber.frozen import Frozen
-from multfiber.lattice import BlockPartition, Lattice, enumerate_lattice, group_by_low_bit
+from multfiber.lattice import (
+    BlockPartition,
+    Lattice,
+    enumerate_lattice,
+    group_by_low_bit,
+    zero_sum_subsets,
+)
 from multfiber.polyfam import coarsening_sum
 from multfiber.spectrum import Spectrum, _spectrum, from_shifts
 from multfiber.verifier import _accept
@@ -292,6 +305,37 @@ def doubling_zero_sum_subsets(spec) -> list[int]:
         v = int(m.re * denom) * k + im
         sums += [s + v for s in sums]
     return [mask for mask in range(1, len(sums) - 1) if not sums[mask]]
+
+
+def cover_partitions(by_low: dict[int, list[int]], full: int) -> Iterator[tuple[int, ...]]:
+    """Exact covers of ``full`` by the grouped blocks, canonical order."""
+    chosen: list[int] = []
+
+    def extend(covered: int):
+        if covered == full:
+            yield tuple(chosen)
+            return
+        free = ~covered & full
+        for mask in by_low.get(free & -free, ()):
+            if mask & covered:
+                continue
+            chosen.append(mask)
+            yield from extend(covered | mask)
+            chosen.pop()
+
+    yield from extend(0)
+
+
+def cover_lattice(spec) -> Lattice:
+    """``enumerate_lattice`` by an exact-cover search over the zero-sum masks, no partition limit."""
+    subsets = zero_sum_subsets(spec)
+    full = (1 << spec.d) - 1
+    by_low = group_by_low_bit(subsets + [full])  # whole set sums to zero
+    partitions = sorted(
+        map(BlockPartition, cover_partitions(by_low, full)),
+        key=lambda p: (p.block_count, p.blocks),
+    )
+    return Lattice(spec.d, tuple(partitions), len(subsets))
 
 
 def restrict(spec, mask: int):

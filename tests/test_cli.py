@@ -151,8 +151,8 @@ def test_identity_check_bad_sizes():
 
 
 def test_identity_check_sweep_limit():
-    # 5.4e6 states: refused before the sweep starts
-    code, _, err = run_cli("identity-check", "--max-l", "10", "--max-size", "4")
+    # 3.7e6 states: refused before the sweep starts
+    code, _, err = run_cli("identity-check", "--max-l", "15", "--max-size", "4")
     assert code == 1 and "state limit 3000000" in err
 
 

@@ -31,6 +31,7 @@ from reference import (
     ZERO,
     GaussianRational,
     as_gaussian,
+    cover_lattice,
     doubling_zero_sum_subsets,
     inner_block_count,
     refines,
@@ -201,12 +202,12 @@ def test_dimension_cap(monkeypatch):
     monkeypatch.setattr(BlockPartition, "__init__", refuse)
     with pytest.raises(DimensionCapError, match="131 partitions"):
         enumerate_lattice(spec)
-    # with distinct shifts the cover search counts the covers itself:
-    # +-1..+-4 has P = 22, and no partition is built past the limit
+    # with distinct shifts the fold over the masks counts P itself:
+    # +-1..+-4 has P = 22, refused with BlockPartition still patched out
     spec = from_shifts([s * i for i in range(1, 5) for s in (1, -1)])
     assert fiber_report(spec).lattice_partitions == 22
     monkeypatch.setattr(multfiber.lattice, "MAX_PARTITIONS", 21)
-    with pytest.raises(DimensionCapError, match="more than 21 partitions"):
+    with pytest.raises(DimensionCapError, match="22 partitions above the partition limit 21"):
         enumerate_lattice(spec)
 
 
@@ -218,8 +219,9 @@ def test_zero_sum_vectors_lay_out_the_classes_largest_first():
     assert zero_sum_vectors([(-1, 3), (2, 1), (1, 1)]) == expected
 
 
-def test_cover_search_type_hints_resolve():
-    hints = typing.get_type_hints(multfiber.lattice._cover_partitions)
+def test_unfold_type_hints_resolve():
+    hints = typing.get_type_hints(multfiber.lattice._unfold)
+    assert hints["pairs"] == dict[int, list]
     assert hints["return"] == Iterator[tuple[int, ...]]
 
 
@@ -249,6 +251,30 @@ def test_lattice_matches_brute_force():
     for spec in cases:
         lat = enumerate_lattice(spec)
         assert list(lat.partitions) == brute_partitions(spec)
+        assert lat == cover_lattice(spec)
+
+
+@st.composite
+def lattice_spectra(draw):
+    """d <= 10 from small integers, closed by the last: distinct shifts, or repeats."""
+    if draw(st.booleans()):
+        shifts = draw(st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=9, unique=True))
+        assume(-sum(shifts) not in shifts)
+    else:
+        shifts = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=9))
+    shifts.append(-sum(shifts))
+    assume(shifts[-1])
+    return from_shifts(draw(st.permutations(shifts)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_spectra())
+@example(from_shifts([1, -1, 2, -2, 3, -3, 4, -4, 5, -5]))  # distinct, P = 107
+@example(from_shifts([1, -1] * 5))  # two classes of five, P = 1,496
+def test_lattice_matches_cover_search(spec):
+    lat = enumerate_lattice(spec)
+    assert lat == cover_lattice(spec)
+    assert len(lat.partitions) == fiber_report(spec).lattice_partitions
 
 
 def test_every_partition_block_sums_to_zero():

@@ -256,11 +256,19 @@ def test_state_charge_over_classes_of_equal_sizes(monkeypatch):
     assert _states(monkeypatch, (2, 2, 3)) == 6 * 3 * 6 // 5
 
 
-def test_state_charge_stays_within_the_sweep_bound(monkeypatch):
-    # the sweep charges 3^l per vector of l sizes, which must bound each vector's own charge
-    for l in range(2, 9):
-        for xs in itertools.combinations_with_replacement(range(2, l + 2), l):
-            assert _states(monkeypatch, xs) <= 3**l
+def test_sweep_charge_is_the_sum_of_its_vectors_charges(monkeypatch):
+    for max_l, max_size in [(2, 2), (4, 3), (3, 6), (6, 4)]:
+        vectors = [
+            xs
+            for l in range(2, max_l + 1)
+            for xs in itertools.combinations_with_replacement(range(2, max_size + 1), l)
+        ]
+        total = sum(_states(monkeypatch, xs) for xs in vectors)
+        monkeypatch.setattr(polyfam, "MAX_STATES", total - 1)
+        with pytest.raises(DimensionCapError, match=f"sweep of {total} states above"):
+            vanishing_sweep(max_l, max_size)
+        monkeypatch.setattr(polyfam, "MAX_STATES", total)
+        assert vanishing_sweep(max_l, max_size) == (len(vectors), [])
 
 
 def _no_row_pass(vectors, fields):
@@ -270,8 +278,8 @@ def _no_row_pass(vectors, fields):
 @pytest.mark.parametrize(
     "refused",
     [
-        lambda: vanishing_sweep(2, 1225),  # 749,700 vectors of 9 states: 6.75e6
-        lambda: vanishing_sweep(10, 4),  # 5.4e6 states
+        lambda: vanishing_sweep(2, 1225),  # 749,700 vectors of 7 or 9 states: 6.7e6
+        lambda: vanishing_sweep(15, 4),  # 3.7e6 states
         lambda: vanishing_sum(tuple(range(2, 16))),  # 3^14 = 4.8e6 states
         lambda: vanishing_sum((2,) * 287),  # one class: C(289, 2) * 290/4 = 3.02e6 states
         lambda: vanishing_sum((2, 3) * 30),  # two: C(32, 2)^2 * 63/5 = 3.1e6 states
@@ -285,7 +293,8 @@ def test_refusals_come_before_any_row_pass(monkeypatch, refused):
         refused()
 
 
-@pytest.mark.parametrize("max_l, max_size", [(9, 4), (3, 85)])  # 1.48e6 and 2.8e6 states
+# 95,384, 2.18e6 and 2.75e6 states
+@pytest.mark.parametrize("max_l, max_size", [(9, 4), (14, 4), (3, 85)])
 def test_sweeps_just_inside_the_state_limit_are_admitted(monkeypatch, max_l, max_size):
     seen = []
     monkeypatch.setattr(polyfam, "vanishing_sum", lambda sizes: seen.append(sizes) or 0)
