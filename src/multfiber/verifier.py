@@ -24,13 +24,14 @@ first has ``STARTS_PER_ORBIT`` starts per orbit of G x C_(d-1) that the
 count implies, and each later one twice the last, up to ``BATCH_SIZE``;
 an empty fiber runs full batches.  A start takes full Newton steps and
 stops, keeping its last iterate, at the first step that fails to lower its
-max-norm residual.  Each step is solved in O(d^2) from the Vandermonde
-structure of the Jacobian (``SigmaSystem.step``), which is never built; where
-it is singular the step is not finite, so the start stops.  A batch's
-converged rows are checked together for collisions and duplicates
-(``_check_batch``), and its new tuples are closed under the symmetry group
-G x C_(d-1), one such check per round for their images under every
-generator (``_close``), so one converged start yields its whole orbit.
+max-norm residual, or once that is at most ``EPS_STOP``, below ``EPS_RES``.
+Each step is solved in O(d^2) from the Vandermonde structure of the Jacobian
+(``SigmaSystem.step``), which is never built; where it is singular the step
+is not finite, so the start stops.  A batch's converged rows are checked
+together for collisions and duplicates (``_check_batch``), and its new
+tuples are closed under G x C_(d-1): one such check for their images under
+every nontrivial rotation, then one per round for those under the swaps
+within a class (``_close``), so one converged start yields its whole orbit.
 Zero-fiber spectra are verified by exhausting the full start budget with
 nothing accepted, a weaker "consistent" outcome, since absence cannot be
 certified by sampling.  A run whose budget ends short of the expected
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from numbers import Integral, Real
 
 import numpy as np
@@ -74,6 +76,7 @@ from .spectrum import Spectrum, ValueClasses, group_order, value_classes
 
 
 EPS_RES = 1e-10        # accept a tuple only below this residual
+EPS_STOP = 1e-14       # a Newton row stops at or below this residual
 MAX_ITER = 200
 BATCH_SIZE = 512       # the most starts in one batch
 STARTS_PER_ORBIT = 32  # first-batch starts per orbit the exact count expects
@@ -221,7 +224,8 @@ class SigmaSystem:
 
 def _newton_batch(system: SigmaSystem, Z: np.ndarray) -> np.ndarray:
     """Newton on each row of Z (shape (B, d)) until a step fails to lower its
-    max-norm residual, which is returned; each row's last iterate is left in Z.
+    max-norm residual or that is at most ``EPS_STOP``; the residuals are
+    returned and each row's last iterate is left in Z.
 
     The rows still running are kept in column layout, one contiguous row per
     coordinate; a row is written back once, when it stops.  A far start
@@ -238,12 +242,12 @@ def _newton_batch(system: SigmaSystem, Z: np.ndarray) -> np.ndarray:
             trial = X + system.step(X, F)
             trial_F = system.residual(trial)
             trial_N = np.abs(trial_F).max(axis=0)
-            better = trial_N < N
-            if not better.all():
-                stop, idx = idx[~better], idx[better]
-                Z[stop], norms[stop] = X[:, ~better].T, N[~better]
+            go = (trial_N < N) & (N > EPS_STOP)
+            if not go.all():
+                stop = ~go
+                Z[idx[stop]], norms[idx[stop]], idx = X[:, stop].T, N[stop], idx[go]
                 kept = (trial, trial_F, trial_N)
-                trial, trial_F, trial_N = (a.compress(better, -1) for a in kept)
+                trial, trial_F, trial_N = (a.compress(go, -1) for a in kept)
             X, F, N = trial, trial_F, trial_N
     Z[idx], norms[idx] = X.T, N  # rows still running after MAX_ITER
     return norms
@@ -254,22 +258,27 @@ def _require_solver_degree(d: int, cfg: SolverConfig) -> None:
         raise DimensionCapError(f"degree {d} above solver cap {cfg.max_degree}")
 
 
+@lru_cache(maxsize=None)
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(d, 1)  # the coordinate pairs i < j, once per degree
+
+
 def _check_batch(C: np.ndarray, accepted: np.ndarray, expected: int) -> tuple[np.ndarray, int]:
     """Indices of the new distinct tuples among the rows C, and the number of
-    duplicates.  C is a Newton batch's converged rows or the images of the
-    rows last added under every generator of G x C_(d-1).  Relative to
-    max(1, max_i |zeta_i|) of the row checked, a row with two coordinates
-    within ``EPS_SEP`` collides and is dropped; another row within
-    ``EPS_DUP`` in max-norm of an accepted row or of an earlier
-    non-colliding row of C (one distance pass of C against [accepted; C]) is
-    a duplicate.  Raises ``SpuriousSolutionError`` past ``expected`` tuples.
+    duplicates.  C is a Newton batch's converged rows or one of the image
+    arrays of ``_close``.  Relative to max(1, max_i |zeta_i|) of the row
+    checked, a row with two coordinates within ``EPS_SEP`` collides and is
+    dropped.  One distance pass takes the other rows against [accepted; C]
+    (C without those dropped): a row is a duplicate when the first row within
+    ``EPS_DUP`` of it in max-norm comes before itself, an accepted row or an
+    earlier row of C.  Raises ``SpuriousSolutionError`` past ``expected`` tuples.
     """
     scale = np.maximum(1.0, np.abs(C).max(axis=1))
-    i, j = np.triu_indices(C.shape[1], 1)
+    i, j = _pairs(C.shape[1])
     rows = np.flatnonzero(np.abs(C[:, i] - C[:, j]).min(axis=1) > EPS_SEP * scale)
     C, n = C[rows], len(accepted)
     near = _within(C, np.concatenate([accepted, C]), EPS_DUP * scale[rows, None])
-    dup = near[:, :n].any(axis=1) | np.tril(near[:, n:], -1).any(axis=1)
+    dup = near.argmax(axis=1) < np.arange(n, n + rows.size) if rows.size else np.zeros(0, bool)
     if n + rows.size - dup.sum() > expected:
         raise SpuriousSolutionError(
             f"found a {expected + 1}-th distinct tuple, expected {expected}"
@@ -304,14 +313,14 @@ def _accept(
 
 
 def _generators(d: int, classes: ValueClasses) -> tuple[np.ndarray, np.ndarray]:
-    """Generators of G x C_(d-1), as rows of column permutations and their
-    factors: the rotation zeta -> omega * zeta, omega = exp(2 pi i / (d-1)),
-    and each swap of neighbours within a value class."""
+    """The swaps of neighbours within each value class, which generate G, as
+    rows of column permutations, and the factors omega^k, k = 1..d-2, of the
+    nontrivial rotations zeta -> omega^k * zeta, omega = exp(2 pi i / (d-1))."""
     swaps = [(a, b) for cls in classes.classes for a, b in zip(cls, cls[1:])]
-    perms = np.tile(np.arange(d), (len(swaps) + 1, 1))
-    for perm, (a, b) in zip(perms[1:], swaps):
+    perms = np.tile(np.arange(d), (len(swaps), 1))
+    for perm, (a, b) in zip(perms, swaps):
         perm[[a, b]] = b, a
-    return perms, np.r_[np.exp(2j * np.pi / (d - 1)), np.ones(len(swaps))]
+    return perms, np.exp(2j * np.pi / (d - 1) * np.arange(1, d - 1))
 
 
 def solve_system(
@@ -328,7 +337,8 @@ def solve_system(
     ``expected == 0`` every batch has ``BATCH_SIZE`` starts.
 
     The new distinct tuples of each batch are closed under G x C_(d-1)
-    (``_close``), so one converged start yields its whole orbit.  ``starts``
+    (``_close``: one check of their nontrivial rotations, then rounds over
+    the swaps), so one converged start yields its whole orbit.  ``starts``
     counts Newton starts; ``converged`` counts Newton rows below ``EPS_RES``
     and ``deduplicated`` those of them that duplicate an accepted tuple or
     an earlier row of their batch.  So converged >= deduplicated, and there
@@ -347,15 +357,16 @@ def solve_system(
     return _solve(system, cfg, expected, value_classes(spec))
 
 
-def _close(system: SigmaSystem, perms, factors, zeta, residual, last: int, expected: int):
+def _close(system: SigmaSystem, swaps, rotations, zeta, residual, last: int, expected: int):
     """``zeta`` and ``residual`` with the rows from ``last`` on closed under
-    G x C_(d-1): each round passes the images of the rows last added under
-    every generator, as one array, through ``_accept`` until one adds none."""
-    while last < len(zeta):
-        added, last = zeta[last:], len(zeta)
-        C = (added[:, perms] * factors[:, None]).reshape(-1, system.d)
+    G x C_(d-1): their images under every nontrivial rotation pass ``_accept``
+    as one array, then each round those of the rows last added under every
+    swap, until one adds none (swaps commute with rotations: one pass does)."""
+    C = (zeta[last:, None] * rotations[:, None]).reshape(-1, system.d)
+    while len(C):
         norms = np.abs(system.residual(C.T)).max(axis=0)
         zeta, residual = _accept(C, norms, zeta, residual, expected)[:2]
+        C, last = zeta[last:, swaps].reshape(-1, system.d), len(zeta)
     return zeta, residual
 
 
@@ -365,7 +376,7 @@ def _solve(system: SigmaSystem, cfg: SolverConfig, expected: int, classes: Value
     rng = random.Random(cfg.seed)  # importing numpy.random costs about 6 MB RSS
     radius = 4.0 * float(np.abs(system.mu).min()) ** (-1.0 / (d - 1))
     budget = cfg.budget_factor * (d - 1) * max(expected // (d - 1), 1)
-    perms, factors = _generators(d, classes)
+    swaps, rotations = _generators(d, classes)
     orbits = -(-expected // (group_order(classes.sizes) * (d - 1)))
     batch = min(STARTS_PER_ORBIT * orbits, BATCH_SIZE) or BATCH_SIZE
 
@@ -381,7 +392,7 @@ def _solve(system: SigmaSystem, cfg: SolverConfig, expected: int, classes: Value
         zeta, residual, conv, dups = _accept(Z, norms, zeta, residual, expected)
         converged += conv
         duplicates += dups
-        zeta, residual = _close(system, perms, factors, zeta, residual, last, expected)
+        zeta, residual = _close(system, swaps, rotations, zeta, residual, last, expected)
 
     # lexicographic by (re, im) of each coordinate; lexsort's last key leads
     order = np.lexsort([part for col in zeta.T[::-1] for part in (col.imag, col.real)])
@@ -418,14 +429,13 @@ def _within(A: np.ndarray, B: np.ndarray, tol) -> np.ndarray:
     of A) to each row of B in max-norm.  The distances are taken by columns,
     for ``DIST_CHUNK`` rows of A at a time, so only the boolean result has
     len(A) * len(B) entries."""
-    tol = np.broadcast_to(tol, (len(A), 1))
     out = np.empty((len(A), len(B)), dtype=bool)
     for s in range(0, len(A), DIST_CHUNK):
         part = A[s : s + DIST_CHUNK]
         D = np.zeros((len(part), len(B)))
         for a, b in zip(part.T, B.T):
             np.maximum(D, np.abs(a[:, None] - b[None, :]), out=D)
-        out[s : s + DIST_CHUNK] = D < tol[s : s + DIST_CHUNK]
+        out[s : s + DIST_CHUNK] = D < (tol if np.isscalar(tol) else tol[s : s + DIST_CHUNK])
     return out
 
 
@@ -511,7 +521,7 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
 
     # warnings: pairs of tuples within 10x the dedup threshold of the first
     scale = np.maximum(1.0, np.abs(Z).max(axis=1))
-    near = np.triu(_within(Z, Z, 10 * EPS_DUP * scale[:, None]), 1)
+    near = np.argwhere(_within(Z, Z, 10 * EPS_DUP * scale[:, None]))
     # a short run finds part of some orbits, so only a full set is size-checked
     orbits = _orbits(Z, classes, check=found == expected_tuples)
     if found < expected_tuples:  # the budget ran out
@@ -533,5 +543,5 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
         expected_orbits=counts.mc_count,
         max_multiplier_error=max_err,
         status=status,
-        near_collisions=tuple(map(tuple, np.argwhere(near).tolist())),
+        near_collisions=tuple(map(tuple, near[near[:, 0] < near[:, 1]].tolist())),
     )

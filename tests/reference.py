@@ -48,10 +48,12 @@ the shift vector, and ``spectrum_of_shifts`` clears its denominators with
 ``multfiber.verifier.SigmaSystem.step`` solves each Newton step from the
 Vandermonde structure of the Jacobian.  ``jacobian`` builds that Jacobian
 densely, one d x d matrix per tuple, for a general solver to be checked
-against.  ``multfiber.verifier._close`` checks the images of the tuples a
-round added under every generator of the symmetry group as one array;
-``close_one_generator_at_a_time`` is the closure it replaced, one check per
-generator, each against the tuples accepted so far.
+against.  ``multfiber.verifier._close`` checks the images of a batch's new
+tuples under every nontrivial rotation as one array, then those of each
+round's new tuples under every swap as one array;
+``close_one_generator_at_a_time`` is the closure it replaced, round by
+round under the rotation by omega and each swap, one check per generator,
+each against the tuples accepted so far.
 
 Two references check the count from outside the partition sums:
 ``groebner_tuple_count`` counts the fixed-point tuples of the polynomial
@@ -613,11 +615,14 @@ def jacobian(system, Z):
     return J
 
 
-def close_one_generator_at_a_time(system, perms, factors, zeta, residual, last, expected):
-    """``zeta`` and ``residual`` with the rows from ``last`` on closed under the
-    generators (rows of ``perms``, with ``factors``), as ``_close`` does, but
-    the images under each generator pass ``_accept`` on their own, after
-    those under the generators before it."""
+def close_one_generator_at_a_time(system, swaps, rotations, zeta, residual, last, expected):
+    """``zeta`` and ``residual`` with the rows from ``last`` on closed under
+    the rotation by omega = ``rotations[0]`` and the ``swaps``, as ``_close``
+    does, but round by round, and the images under each generator pass
+    ``_accept`` on their own, after those under the generators before it:
+    omega, then each swap."""
+    perms = np.vstack([np.arange(system.d), swaps])
+    factors = np.r_[rotations[0], np.ones(len(swaps))]
     while last < len(zeta):
         added, last = zeta[last:], len(zeta)
         for perm, factor in zip(perms, factors):

@@ -367,6 +367,32 @@ def test_verify_full_loop_on_fixture():
     assert report.near_collisions == ()
 
 
+def test_near_collisions_list_every_pair_within_ten_dedup_tolerances(monkeypatch):
+    # a solve result with one row planted 5e-6 from row 2, relative, next to
+    # the three true tuples; the loose eps_mult lets its multipliers pass
+    solve = verifier._solve
+
+    def doctored(*args):
+        result = solve(*args)
+        Z = result.zeta
+        planted = Z[2] + 5 * verifier.EPS_DUP * max(1.0, np.abs(Z[2]).max())
+        return verifier.SolveResult(
+            np.vstack([Z, planted]), np.r_[result.residual, 0.0],
+            result.starts, result.converged, result.deduplicated,
+        )
+
+    monkeypatch.setattr(verifier, "_solve", doctored)
+    report = verify_spectrum(validate(FIXTURE), SolverConfig(eps_mult=0.1))
+    Z = report.zeta
+    brute = [
+        (i, j)
+        for i in range(len(Z))
+        for j in range(i + 1, len(Z))
+        if np.abs(Z[i] - Z[j]).max() < 10 * verifier.EPS_DUP * max(1.0, np.abs(Z[i]).max())
+    ]
+    assert report.near_collisions == tuple(brute) == ((2, 3),)
+
+
 def test_verify_zero_fiber_is_consistent():
     cfg = SolverConfig(budget_factor=60)  # keep the unit test quick
     report = verify_spectrum(validate(["0", "2", "0", "2"]), cfg)
@@ -645,6 +671,59 @@ def test_singular_row_stops_at_its_start_and_the_others_run_on(monkeypatch):
     assert np.array_equal(Z[1:], alone)
 
 
+def assert_same_tuples(a, b):
+    """Both reports have the same counts and verdict, and their tuples match
+    one to one within ``EPS_DUP``, relative."""
+    for name in ("status", "starts", "converged", "deduplicated", "found_tuples", "mc_orbits"):
+        assert getattr(a, name) == getattr(b, name), name
+    tol = verifier.EPS_DUP * np.maximum(1.0, np.abs(b.zeta).max(axis=1))
+    near = np.abs(a.zeta[:, None, :] - b.zeta[None, :, :]).max(axis=2) < tol
+    assert (near.sum(axis=0) == 1).all() and (near.sum(axis=1) == 1).all()
+
+
+@st.composite
+def stopping_spectra(draw):
+    """Shifts at d = 3-6 from a pool of rationals and Gaussian rationals,
+    so values may repeat, the last one making the sum zero, all scaled by
+    1, 10^6 or 10^-6."""
+    d = draw(st.integers(3, 6))
+    pool = st.sampled_from([1, -1, 2, "3/2", "-7/3", "5/4", "1+1i", "1-1i", "-1+2i", "2/3-1/2i"])
+    head = [as_gaussian(v) for v in draw(st.lists(pool, min_size=d - 1, max_size=d - 1))]
+    last = -sum(head, ZERO)
+    assume(last)
+    scale = draw(st.sampled_from([1, 10**6, Fraction(1, 10**6)]))
+    return from_shifts([(m * as_gaussian(scale)).parts() for m in head + [last]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(stopping_spectra(), st.integers(0, 3))
+def test_stopping_at_the_rounding_floor_keeps_every_verdict(spec, seed):
+    # EPS_STOP = 0 is the rule that stops a row only when a step fails
+    cfg = SolverConfig(seed=seed)
+    report = verify_spectrum(spec, cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verifier, "EPS_STOP", 0.0)
+        slow = verify_spectrum(spec, cfg)
+    assert_same_tuples(report, slow)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_converged_rows_stop_at_the_rounding_floor(monkeypatch, seed):
+    # each step was taken while some row, already below 1e-14, still
+    # lowered its residual by chance: 28, 15 and 14 steps at seeds 0-2
+    calls = [0]
+    step = verifier.SigmaSystem.step
+
+    def counted(self, Z, F):
+        calls[0] += 1
+        return step(self, Z, F)
+
+    monkeypatch.setattr(verifier.SigmaSystem, "step", counted)
+    report = verify_spectrum(from_shifts([1, 2, -3]), SolverConfig(seed=seed))
+    assert report.status == "verified"
+    assert calls[0] <= 12
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize(
     "shifts",
@@ -737,9 +816,11 @@ def test_closure_checks_no_array_much_larger_than_the_fiber(monkeypatch):
     "shifts, status, checks",
     [
         ([1, 1, 1, 1, 1, -5], "verified", 8),  # 36 with one check per generator
-        (["1+1i", "2", "-3-1i", "1+1i", "2", "-3-1i"], "verified", 7),  # 26
-        ([1, 1, -2, 2, 2, -4], "verified", 14),  # 38
+        (["1+1i", "2", "-3-1i", "1+1i", "2", "-3-1i"], "verified", 5),  # 25
+        ([1, 1, -2, 2, 2, -4], "verified", 9),  # 38
         ([1, -1, 1, -1], "consistent", 0),  # 30 batches, no row converges
+        ([1, 2, 3, 4, -10], "verified", 2),  # 4; now one Newton and one rotation check
+        ([1, -1, 2, -2, 3, -3], "verified", 6),  # 17
     ],
 )
 def test_closure_checks_each_round_once(monkeypatch, shifts, status, checks):
@@ -855,12 +936,7 @@ def test_closure_matches_the_one_generator_at_a_time_reference(spec, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verifier, "_close", close_one_generator_at_a_time)
         slow = verify_spectrum(spec, cfg)
-    for name in ("status", "starts", "converged", "deduplicated", "found_tuples", "mc_orbits"):
-        assert getattr(report, name) == getattr(slow, name), name
-    # the tuples match one to one within EPS_DUP, relative
-    tol = verifier.EPS_DUP * np.maximum(1.0, np.abs(slow.zeta).max(axis=1))
-    near = np.abs(report.zeta[:, None, :] - slow.zeta[None, :, :]).max(axis=2) < tol
-    assert (near.sum(axis=0) == 1).all() and (near.sum(axis=1) == 1).all()
+    assert_same_tuples(report, slow)
 
 
 def test_verify_generic_degree_seven_within_a_short_budget():
