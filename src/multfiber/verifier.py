@@ -32,6 +32,9 @@ together for collisions and duplicates (``_check_batch``), and its new
 tuples are closed under G x C_(d-1): one such check for their images under
 every nontrivial rotation, then one per round for those under the swaps
 within a class (``_close``), so one converged start yields its whole orbit.
+Near rows, there and in the report, come from one search (``_near_pairs``):
+windows sorted on Re zeta_0, their candidate pairs tested a bounded block at
+a time.  ``near_collisions`` lists the pairs (i, j), i < j, ascending.
 Zero-fiber spectra are verified by exhausting the full start budget with
 nothing accepted, a weaker "consistent" outcome, since absence cannot be
 certified by sampling.  A run whose budget ends short of the expected
@@ -80,7 +83,7 @@ EPS_STOP = 1e-14       # a Newton row stops at or below this residual
 MAX_ITER = 200
 BATCH_SIZE = 512       # the most starts in one batch
 STARTS_PER_ORBIT = 32  # first-batch starts per orbit the exact count expects
-DIST_CHUNK = 64        # rows per block of pairwise distances
+NEAR_BLOCK = 1 << 14   # the most candidate near pairs tested at once, past one row's
 EPS_DUP = 1e-6         # relative: tuples closer than this are one solution
 EPS_SEP = 1e-7         # relative: coordinates closer than this are a collision
 
@@ -268,18 +271,16 @@ def _check_batch(C: np.ndarray, accepted: np.ndarray, expected: int) -> tuple[np
     duplicates.  C is a Newton batch's converged rows or one of the image
     arrays of ``_close``.  Relative to max(1, max_i |zeta_i|) of the row
     checked, a row with two coordinates within ``EPS_SEP`` collides and is
-    dropped.  One distance pass takes the other rows against [accepted; C]
-    (C without those dropped): a row is a duplicate when the first row within
-    ``EPS_DUP`` of it in max-norm comes before itself, an accepted row or an
-    earlier row of C.  Raises ``SpuriousSolutionError`` past ``expected`` tuples.
+    dropped, and one of the others is a duplicate when an accepted row or an
+    earlier one of them is within ``EPS_DUP`` of it in max-norm.  Raises
+    ``SpuriousSolutionError`` past ``expected`` tuples.
     """
     scale = np.maximum(1.0, np.abs(C).max(axis=1))
     i, j = _pairs(C.shape[1])
     rows = np.flatnonzero(np.abs(C[:, i] - C[:, j]).min(axis=1) > EPS_SEP * scale)
-    C, n = C[rows], len(accepted)
-    near = _within(C, np.concatenate([accepted, C]), EPS_DUP * scale[rows, None])
-    dup = near.argmax(axis=1) < np.arange(n, n + rows.size) if rows.size else np.zeros(0, bool)
-    if n + rows.size - dup.sum() > expected:
+    first = _first_near(C[rows], np.concatenate([accepted, C[rows]]), EPS_DUP * scale[rows])
+    dup = first < len(accepted) + np.arange(rows.size)
+    if len(accepted) + rows.size - dup.sum() > expected:
         raise SpuriousSolutionError(
             f"found a {expected + 1}-th distinct tuple, expected {expected}"
         )
@@ -424,19 +425,35 @@ def forward_multipliers(zeta) -> list[complex]:
     return [complex(m) for m in _multipliers(z[None, :])[0]]
 
 
-def _within(A: np.ndarray, B: np.ndarray, tol) -> np.ndarray:
-    """Whether each row of A is closer than ``tol`` (a scalar, or one per row
-    of A) to each row of B in max-norm.  The distances are taken by columns,
-    for ``DIST_CHUNK`` rows of A at a time, so only the boolean result has
-    len(A) * len(B) entries."""
-    out = np.empty((len(A), len(B)), dtype=bool)
-    for s in range(0, len(A), DIST_CHUNK):
-        part = A[s : s + DIST_CHUNK]
-        D = np.zeros((len(part), len(B)))
-        for a, b in zip(part.T, B.T):
-            np.maximum(D, np.abs(a[:, None] - b[None, :]), out=D)
-        out[s : s + DIST_CHUNK] = D < (tol if np.isscalar(tol) else tol[s : s + DIST_CHUNK])
-    return out
+def _near_pairs(A: np.ndarray, B: np.ndarray, tol):
+    """Yield, block by block of A, the pairs (i, j) with row i of A closer than
+    ``tol`` (a scalar, or one per row of A) to row j of B in max-norm, i ascending.
+    Row i is tested by coordinates against the rows of B within 2 tol of it in Re
+    zeta_0 only (rounding drops none); a block holds at most ``NEAR_BLOCK`` of
+    these candidates past one row's."""
+    tol = np.full(len(A), tol)
+    order = np.argsort(B[:, 0].real)
+    key = B[order, 0].real
+    lo = np.searchsorted(key, A[:, 0].real - 2 * tol)
+    counts = np.searchsorted(key, A[:, 0].real + 2 * tol, "right") - lo
+    cuts = np.searchsorted(np.cumsum(counts), np.arange(NEAR_BLOCK, counts.sum(), NEAR_BLOCK))
+    for s, e in zip([0, *cuts], [*cuts, len(A)]):
+        c = counts[s:e]
+        i, t = np.repeat(np.arange(s, e), c), np.repeat(tol[s:e], c)
+        j = order[np.arange(len(i)) + np.repeat(lo[s:e] + c - np.cumsum(c), c)]
+        for a, b in zip(A.T, B.T):
+            near = np.abs(a[i] - b[j]) < t
+            if not near.all():
+                i, j, t = i[near], j[near], t[near]
+        yield i, j
+
+
+def _first_near(A: np.ndarray, B: np.ndarray, tol) -> np.ndarray:
+    """For each row of A, the least j of ``_near_pairs``, or len(B) if none."""
+    first = np.full(len(A), len(B))
+    for i, j in _near_pairs(A, B, tol):
+        np.minimum.at(first, i, j)
+    return first
 
 
 def _orbits(Z: np.ndarray, classes: ValueClasses, check: bool = True) -> int:
@@ -450,20 +467,15 @@ def _orbits(Z: np.ndarray, classes: ValueClasses, check: bool = True) -> int:
     ``check``, every polynomial must come from group-order many rows: a
     wrong-sized orbit means duplicates, missing tuples or a tolerance failure.
     """
-    n = len(Z)
-    if n == 0:
-        return 0
     Z = Z / np.abs(Z).max(axis=1, keepdims=True)
-    C = np.zeros((n, Z.shape[1]), dtype=complex)  # per class, descending, the leading 1 left out
+    C = np.zeros_like(Z)  # per class, descending, the leading 1 left out
     at = 0
     for cls in classes.classes:
         for m, j in enumerate(cls):  # multiply by (x - zeta_j)
             C[:, at + 1 : at + m + 1] -= Z[:, j : j + 1] * C[:, at : at + m]
             C[:, at] -= Z[:, j]
         at += len(cls)
-    first = _within(C, C, EPS_DUP).argmax(axis=1)
-    sizes = np.bincount(first)
-    sizes = sizes[sizes > 0]
+    sizes = np.unique(_first_near(C, C, EPS_DUP), return_counts=True)[1]
     order = group_order(classes.sizes)
     if check and (sizes != order).any():
         size = sizes[sizes != order][0]
@@ -520,8 +532,8 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
         )
 
     # warnings: pairs of tuples within 10x the dedup threshold of the first
-    scale = np.maximum(1.0, np.abs(Z).max(axis=1))
-    near = np.argwhere(_within(Z, Z, 10 * EPS_DUP * scale[:, None]))
+    tol = 10 * EPS_DUP * np.maximum(1.0, np.abs(Z).max(axis=1))
+    near = np.concatenate([np.c_[i, j][i < j] for i, j in _near_pairs(Z, Z, tol)])
     # a short run finds part of some orbits, so only a full set is size-checked
     orbits = _orbits(Z, classes, check=found == expected_tuples)
     if found < expected_tuples:  # the budget ran out
@@ -543,5 +555,5 @@ def verify_spectrum(spec: Spectrum, cfg: SolverConfig | None = None) -> Verifica
         expected_orbits=counts.mc_count,
         max_multiplier_error=max_err,
         status=status,
-        near_collisions=tuple(map(tuple, near[near[:, 0] < near[:, 1]].tolist())),
+        near_collisions=tuple(sorted(map(tuple, near.tolist()))),
     )

@@ -53,7 +53,11 @@ tuples under every nontrivial rotation as one array, then those of each
 round's new tuples under every swap as one array;
 ``close_one_generator_at_a_time`` is the closure it replaced, round by
 round under the rotation by omega and each swap, one check per generator,
-each against the tuples accepted so far.
+each against the tuples accepted so far.  ``multfiber.verifier._near_pairs``
+finds the pairs of rows within a tolerance in max-norm by a window sorted on
+Re zeta_0, block by block; ``_within`` is the all-pairs boolean matrix it
+replaced, built ``DIST_CHUNK`` rows of A at a time, whose ``np.argwhere`` is
+those blocks' pairs joined and sorted.
 
 Two references check the count from outside the partition sums:
 ``groebner_tuple_count`` counts the fixed-point tuples of the polynomial
@@ -98,6 +102,7 @@ from multfiber.spectrum import Spectrum, _spectrum, from_shifts
 from multfiber.verifier import _accept
 
 MAX_LISTED_BLOCKS = 11  # Bell(11) = 678,570 partitions: about 2 s to list
+DIST_CHUNK = 64  # rows of A per block of pairwise distances in ``_within``
 
 
 # --- exact Gaussian rationals on Fractions ------------------------------------------
@@ -630,6 +635,21 @@ def close_one_generator_at_a_time(system, swaps, rotations, zeta, residual, last
             norms = np.abs(system.residual(C.T)).max(axis=0)
             zeta, residual = _accept(C, norms, zeta, residual, expected)[:2]
     return zeta, residual
+
+
+def _within(A: np.ndarray, B: np.ndarray, tol) -> np.ndarray:
+    """Whether each row of A is closer than ``tol`` (a scalar, or one per row
+    of A) to each row of B in max-norm.  The distances are taken by columns,
+    for ``DIST_CHUNK`` rows of A at a time, so only the boolean result has
+    len(A) * len(B) entries."""
+    out = np.empty((len(A), len(B)), dtype=bool)
+    for s in range(0, len(A), DIST_CHUNK):
+        part = A[s : s + DIST_CHUNK]
+        D = np.zeros((len(part), len(B)))
+        for a, b in zip(part.T, B.T):
+            np.maximum(D, np.abs(a[:, None] - b[None, :]), out=D)
+        out[s : s + DIST_CHUNK] = D < (tol if np.isscalar(tol) else tol[s : s + DIST_CHUNK])
+    return out
 
 
 # --- the parse that spectrum_from_obj replaced --------------------------------------

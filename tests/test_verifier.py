@@ -4,6 +4,7 @@ import itertools
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from multfiber.verifier import (
 from reference import (
     I,
     ZERO,
+    _within,
     as_gaussian,
     close_one_generator_at_a_time,
     fiber_size_closed_form,
@@ -391,6 +393,27 @@ def test_near_collisions_list_every_pair_within_ten_dedup_tolerances(monkeypatch
         if np.abs(Z[i] - Z[j]).max() < 10 * verifier.EPS_DUP * max(1.0, np.abs(Z[i]).max())
     ]
     assert report.near_collisions == tuple(brute) == ((2, 3),)
+
+
+def test_near_collisions_are_sorted_across_and_within_blocks(monkeypatch):
+    # two rows planted near row 0, the later one lower in Re zeta_0, so the
+    # window meets them out of order; one row per block of candidates
+    solve = verifier._solve
+
+    def doctored(*args):
+        result = solve(*args)
+        Z = result.zeta
+        step = 2 * verifier.EPS_DUP * max(1.0, np.abs(Z[0]).max())
+        planted = Z[0] + np.array([[step], [-step]])
+        return verifier.SolveResult(
+            np.vstack([Z, planted]), np.r_[result.residual, 0.0, 0.0],
+            result.starts, result.converged, result.deduplicated,
+        )
+
+    monkeypatch.setattr(verifier, "_solve", doctored)
+    monkeypatch.setattr(verifier, "NEAR_BLOCK", 1)
+    report = verify_spectrum(validate(FIXTURE), SolverConfig(eps_mult=0.1))
+    assert report.near_collisions == ((0, 3), (0, 4), (3, 4))
 
 
 def test_verify_zero_fiber_is_consistent():
@@ -1070,9 +1093,8 @@ def test_batch_check_keeps_distinct_rows_and_drops_only_near_ones(batch):
             assert any(np.abs(zeta - z).max() < tol for z in others)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64, 512])
 @pytest.mark.parametrize("held", [0, 1])
-def test_batch_check_on_a_newton_batch_in_any_chunk_size(monkeypatch, chunk, held):
+def test_batch_check_on_a_newton_batch(held):
     # a batch at d = 3 converges to the 2 tuples in hundreds of rows
     spec = from_shifts([1, 2, -3])
     Z = verifier._disc_starts(random.Random(0), verifier.BATCH_SIZE, 3, 8.0)
@@ -1080,7 +1102,6 @@ def test_batch_check_on_a_newton_batch_in_any_chunk_size(monkeypatch, chunk, hel
     C = Z[norms < verifier.EPS_RES]
     assert len(C) > 256
     accepted = C[:held] * (1 + 1e-9)
-    monkeypatch.setattr(verifier, "DIST_CHUNK", chunk)
     kept, duplicates = verifier._check_batch(C, accepted, 2)
     assert ([int(k) for k in kept], duplicates) == _reference_check(C, accepted, 2)
     assert len(kept) == 2 - held
@@ -1096,3 +1117,108 @@ def test_batch_check_counts_a_row_near_an_earlier_duplicate():
     kept, duplicates = verifier._check_batch(C, none, 3)
     assert (kept.tolist(), duplicates) == ([0], 2)
     assert _reference_check(C, none, 3) == ([0, 2], 1)
+
+
+# --- the near-pair search against the all-pairs matrix it replaced -----------------
+
+@st.composite
+def near_pair_inputs(draw):
+    """Rows of A and B, either may be empty, and a scalar or per-row ``tol``
+    down to 1e-20 of the rows' scale: random rows, rows that all share their
+    first coordinate, and rows of B placed at tol (1 + e), e in {-1e-9, 0,
+    1e-9}, from a row of A in Re zeta_0 or in another coordinate, the edges of
+    the window and of the test.  On a dyadic grid with a power-of-two ``tol``
+    the distance tol itself is exact."""
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = draw(st.booleans())
+    scale = 2.0 ** draw(st.integers(-20, 20)) if grid else 10.0 ** draw(st.floats(-6, 6))
+
+    def rows(k):
+        Z = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
+        return scale * (np.round(8 * Z) / 8 if grid else Z)
+
+    def tols(size):
+        exponent = rng.integers(-30, 1, size) if grid else rng.uniform(-20, 0, size)
+        return scale * (2.0 if grid else 10.0) ** exponent
+
+    A, B = rows(draw(st.integers(0, 12))), rows(draw(st.integers(0, 12)))
+    tol = tols(len(A)) if draw(st.booleans()) else float(tols(None))
+    if len(A) and draw(st.booleans()):  # every window holds every row
+        A[:, 0] = B[:, 0] = A[0, 0]
+    for _ in range(draw(st.integers(0, 6)) if len(A) and len(B) else 0):
+        a, b = draw(st.integers(0, len(A) - 1)), draw(st.integers(0, len(B) - 1))
+        col = draw(st.integers(0, d - 1))
+        step = np.full(len(A), tol)[a] * (1 + draw(st.sampled_from([-1e-9, 0.0, 1e-9])))
+        B[b] = A[a]
+        B[b, col] += step * draw(st.sampled_from([1, -1] if col == 0 else [1, 1j, -1, -1j]))
+    return A, B, tol
+
+
+def _all_near_pairs(A, B, tol):
+    """Every pair of ``verifier._near_pairs``, its blocks joined, ascending."""
+    blocks = list(verifier._near_pairs(A, B, tol))
+    i, j = np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+    assert all((np.diff(b[0]) >= 0).all() for b in blocks)  # i ascends in each block
+    assert (np.diff([b[0][0] for b in blocks if len(b[0])]) > 0).all()  # and across them
+    return sorted(zip(i.tolist(), j.tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_pair_inputs(), st.sampled_from([1, 5, verifier.NEAR_BLOCK]))
+def test_near_pairs_match_the_all_pairs_matrix(inputs, block):
+    A, B, tol = inputs
+    near = _within(A, B, tol if np.isscalar(tol) else tol[:, None])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verifier, "NEAR_BLOCK", block)
+        pairs = _all_near_pairs(A, B, tol)
+        first = verifier._first_near(A, B, tol)
+    assert pairs == [tuple(p) for p in np.argwhere(near).tolist()]
+    least = [row.argmax() if row.any() else len(B) for row in near]
+    assert first.tolist() == least
+
+
+def _peaks(Z, classes, tol):
+    """The near pairs of the rows of Z within ``tol`` and their orbit count,
+    with the tracemalloc peak of each pass."""
+    tracemalloc.start()
+    try:
+        pairs = _all_near_pairs(Z, Z, tol)
+        near_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        orbits = verifier._orbits(Z, classes, check=False)
+        orbit_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return pairs, orbits, near_peak, orbit_peak
+
+
+def test_near_pairs_and_orbits_stay_small_on_a_generic_degree_eight_fiber():
+    # 5,040 rows, the size of the generic d = 8 fiber, with planted near
+    # pairs; an all-pairs pass over them peaks at about 35 MB
+    n, planted = 5040, [(0, 5039), (17, 2500), (1000, 1001), (4000, 4321)]
+    rng = np.random.default_rng(0)
+    Z = rng.normal(size=(n, 8)) + 1j * rng.normal(size=(n, 8))
+    for a, b in planted:
+        Z[b] = Z[a] * (1 + 1e-9)
+    classes = value_classes(from_shifts([1, 2, 3, 4, 5, 6, 7, -28]))
+    tol = 10 * verifier.EPS_DUP * np.maximum(1.0, np.abs(Z).max(axis=1))
+    pairs, orbits, near_peak, orbit_peak = _peaks(Z, classes, tol)
+    assert [(i, j) for i, j in pairs if i < j] == planted
+    assert orbits == n - len(planted)
+    assert near_peak < 8e6 and orbit_peak < 8e6
+
+
+def test_near_pairs_and_orbits_stay_small_when_every_row_shares_zeta_0():
+    # the 5,040 orderings of one tuple after zeta_0 = 0: every window holds
+    # every row, and under the classes {0}, {1..7} all are one orbit, so every
+    # pair of rows is near in the orbit pass
+    rng = np.random.default_rng(0)
+    rest = rng.normal(size=7) + 1j * rng.normal(size=7)
+    Z = np.array([[0, *p] for p in itertools.permutations(rest)])
+    classes = value_classes(from_shifts([-7, 1, 1, 1, 1, 1, 1, 1]))
+    tol = 10 * verifier.EPS_DUP * np.maximum(1.0, np.abs(Z).max(axis=1))
+    pairs, orbits, near_peak, orbit_peak = _peaks(Z, classes, tol)
+    assert pairs == [(i, i) for i in range(len(Z))]
+    assert orbits == 1
+    assert near_peak < 8e6 and orbit_peak < 8e6
