@@ -35,6 +35,7 @@ arbitrary-precision integers, so concurrent evaluation is safe.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import factorial, gcd
 
 from .errors import (
@@ -78,19 +79,25 @@ def fiber_size_closed_form(spec: Spectrum, lat: Lattice | None = None) -> int:
 # --- discrete counts ------------------------------------------------------------
 
 def class_gcds(sizes) -> tuple[int, ...]:
-    """For each class, the gcd of all class sizes with that one reduced by 1."""
+    """For each class, the gcd of all class sizes with that one reduced by 1.
+
+    One pass: the gcd of the sizes before w (a prefix gcd), size w - 1 and
+    the gcd of those after it (a suffix gcd); gcd(0, n) = n.
+    """
     sizes = tuple(sizes)
-    return tuple(gcd(*sizes[:w], sizes[w] - 1, *sizes[w + 1 :]) for w in range(len(sizes)))
+    before = accumulate(sizes, gcd, initial=0)
+    after = list(accumulate(reversed(sizes), gcd, initial=0))
+    return tuple(gcd(b, m - 1, a) for b, m, a in zip(before, sizes, after[-2::-1]))
 
 
-def _monic_centered(d: int, size: int, sizes: tuple[int, ...]) -> int:
-    return _exact_quotient((d - 1) * size, group_order(sizes), "(d-1)*count")
+def _monic_centered(d: int, size: int, order: int) -> int:
+    return _exact_quotient((d - 1) * size, order, "(d-1)*count")
 
 
-def _conjugacy(size: int, sizes: tuple[int, ...]) -> int | None:
+def _conjugacy(size: int, sizes: tuple[int, ...], order: int) -> int | None:
     if any(g != 1 for g in class_gcds(sizes)):
         return None
-    return _exact_quotient(size, group_order(sizes), "count")
+    return _exact_quotient(size, order, "count")
 
 
 def monic_centered_count(
@@ -109,7 +116,7 @@ def monic_centered_count(
         return fiber_report(spec).mc_count
     if classes is None:
         classes = value_classes(spec)
-    return _monic_centered(spec.d, size, classes.sizes)
+    return _monic_centered(spec.d, size, group_order(classes.sizes))
 
 
 def conjugacy_count(
@@ -127,7 +134,7 @@ def conjugacy_count(
         classes = value_classes(spec)
     if size is None and all(g == 1 for g in class_gcds(classes.sizes)):
         size = fiber_report(spec).s_d
-    return _conjugacy(size, classes.sizes)
+    return _conjugacy(size, classes.sizes, group_order(classes.sizes))
 
 
 # --- aggregate report -------------------------------------------------------------
@@ -159,11 +166,11 @@ class FiberReport(Frozen):
 
     @property
     def mc_count(self) -> int:
-        return _monic_centered(self.d, self.s_d, self.class_sizes)
+        return _monic_centered(self.d, self.s_d, group_order(self.class_sizes))
 
     @property
     def mp_count(self) -> int | None:
-        return _conjugacy(self.s_d, self.class_sizes)
+        return _conjugacy(self.s_d, self.class_sizes, group_order(self.class_sizes))
 
     @property
     def engines(self) -> dict[str, int]:
@@ -218,6 +225,7 @@ def fiber_report(spec: Spectrum) -> FiberReport:
     if not 0 <= sub <= fact[d - 2]:
         raise InvariantViolationError(f"count {sub} outside [0, (d-2)!] for d={d}")
     sizes = classes.sizes
-    _monic_centered(d, sub, sizes)
-    _conjugacy(sub, sizes)
+    order = group_order(sizes)  # one group order for both divisions
+    _monic_centered(d, sub, order)
+    _conjugacy(sub, sizes, order)
     return FiberReport(sub, bytes(sizes), count, zero_sum)

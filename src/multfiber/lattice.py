@@ -10,8 +10,9 @@ indices it takes from each class of equal shifts.  A meet-in-the-middle
 scan sums the class vectors of each half of the classes exactly (the
 shifts are integers over one denominator) and decodes only the vectors
 whose halves cancel: with distinct shifts, 2 * 2^ceil(d/2) sums, not 2^d.
-``zero_sum_join`` counts those vectors, ``zero_sum_vectors`` decodes them,
-and ``zero_sum_subsets`` is the scan with each index its own class.  One
+``zero_sum_join`` counts those vectors per high-half sum,
+``zero_sum_vectors`` decodes them from those counts, and
+``zero_sum_subsets`` is the scan with each index its own class.  One
 pair step, ``block_pairs``, joins a set's block through its lowest index
 to a partition of the rest; the lattice folds it over the zero-sum masks,
 counting each mask's partitions, then unfolds the full mask, each
@@ -80,10 +81,11 @@ def check_pair_floor(vectors: int, bits: int) -> None:
 
 
 def zero_sum_join(classes) -> tuple:
-    """The scan's matching stage: the sizes largest first, each half's sums, and N + 2.
+    """The scan's matching stage: the sizes largest first, each half's sums, the matches, N + 2.
 
     Class j, a pair (value, size), is size copies of value.  The matches
-    count the N proper zero-sum vectors and the empty and full ones.
+    count, per high-half sum, the low halves that cancel it; their total
+    counts the N proper zero-sum vectors and the empty and full ones.
     """
     values, sizes = zip(*sorted(classes, key=itemgetter(1), reverse=True))
     if sum(sizes) > MAX_SCAN_DEGREE:
@@ -93,30 +95,33 @@ def zero_sum_join(classes) -> tuple:
     h = bisect_right(prefix, isqrt(prefix[-1])) - 1
     neg_low = subset_sums([-v for v in values[:h]], sizes[:h])
     high = subset_sums(values[h:], sizes[h:])
-    buckets = Counter(neg_low)
-    return sizes, neg_low, high, buckets, sum(map(buckets.get, high, repeat(0)))
+    matches = list(map(Counter(neg_low).get, high, repeat(0)))
+    return sizes, neg_low, high, matches, sum(matches)
 
 
 def zero_sum_vectors(classes) -> tuple[list[int], list[int], int]:
     """The nonempty zero-sum class vectors, ascending, the repeated classes' fields, and Z.
 
-    The decoding stage of ``zero_sum_join``.  Largest first (ties kept in
+    The decoding stage of ``zero_sum_join``, after the pair floor refuses
+    on its total: it reads the matched high halves from the join's counts
+    and keeps the low halves with a matched sum.  Largest first (ties kept in
     order), each class owns that many bits, a field, above those before it;
     v is the mask of the first v_j bits of each class, so u <= v is
     ``u & ~v == 0``.  The full vector is last; Z sums prod C(m_j, v_j) over proper v.
     """
-    sizes, neg_low, high, buckets, found = zero_sum_join(classes)
+    sizes, neg_low, high, matches, found = zero_sum_join(classes)
     check_pair_floor(found - 2, len(sizes))
     repeated = sizes[: len(sizes) - sizes.count(1)]
     starts = list(accumulate(repeated, initial=0))  # the last is where the size-1 classes start
     fields = [((1 << m) - 1) << off for m, off in zip(repeated, starts)]
-    hits = buckets.keys() & high
+    matched = list(compress(range(len(high)), matches))
+    hits = {high[j] for j in matched}
     low_by_sum: dict[int, list[int]] = {}
     for i in compress(range(len(neg_low)), map(hits.__contains__, neg_low)):
         low_by_sum.setdefault(neg_low[i], []).append(i)
     vectors, zero_sum = [], -2  # the empty and the full vector are not proper
     # Ascending high halves, each with its ascending low halves: ascending vectors.
-    for j in compress(range(len(high)), map(hits.__contains__, high)):
+    for j in matched:
         for i in low_by_sum[high[j]]:
             i += j * len(neg_low)
             v, ways = 0, 1
@@ -189,22 +194,28 @@ class BlockPartition(Frozen):
     """Disjoint blocks covering a ground set, canonically ordered.
 
     Blocks are stored sorted by smallest element, so structural equality
-    and hashing are well defined.
+    and hashing are well defined.  Blocks given in that order, as the
+    lattice's unfold gives them, are not sorted again.
     """
 
     __slots__ = ("blocks",)
 
     def __init__(self, blocks: tuple[int, ...]):
-        blocks = tuple(sorted(blocks, key=lambda b: b & -b))
-        union = 0
-        total = 0
+        blocks = tuple(blocks)
+        union = total = last = 0
+        ordered = True
         for b in blocks:
             if b <= 0:
                 raise ValueError("empty block in partition")
             union |= b
             total += b.bit_count()
+            low = b & -b
+            ordered = ordered and last < low
+            last = low
         if total != union.bit_count():
             raise ValueError("overlapping blocks in partition")
+        if not ordered:
+            blocks = tuple(sorted(blocks, key=lambda b: b & -b))
         super().__init__(blocks)
 
     @property

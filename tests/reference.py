@@ -7,7 +7,12 @@ against.
 
 ``multfiber.lattice.zero_sum_vectors`` joins the sums of the class vectors
 of two halves of the value classes.  The scan kept here builds the exact
-sums of all 2^d index subsets.
+sums of all 2^d index subsets, and ``product_zero_sum_vectors`` tries every
+class vector of ``itertools.product``.
+
+``multfiber.counting.class_gcds`` takes prefix and suffix gcds in one pass;
+``quadratic_class_gcds`` is the definition it replaced, all r sizes
+unpacked for each of the r classes.
 
 ``multfiber.lattice.enumerate_lattice`` counts the partitions by one
 ``block_pairs`` fold over the zero-sum masks and unfolds them top-down.
@@ -74,7 +79,8 @@ import re
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from itertools import accumulate, product
+from math import comb, factorial, gcd, lcm, prod
 
 import numpy as np
 
@@ -312,6 +318,35 @@ def doubling_zero_sum_subsets(spec) -> list[int]:
         v = int(m.re * denom) * k + im
         sums += [s + v for s in sums]
     return [mask for mask in range(1, len(sums) - 1) if not sums[mask]]
+
+
+def product_zero_sum_vectors(classes) -> tuple[list[int], list[int], int]:
+    """``zero_sum_vectors`` by every class vector of ``itertools.product``.
+
+    Class j, (packed value, size m_j), takes v_j in 0..m_j indices.  The
+    classes are laid out largest first (ties in order), each owning m_j
+    bits above those before it; the masks of the nonempty vectors with
+    packed sum 0 come ascending, then the fields of the classes of size
+    >= 2 and Z, the sum of prod C(m_j, v_j) over the proper ones.
+    """
+    classes = sorted(classes, key=lambda c: c[1], reverse=True)
+    sizes = [m for _, m in classes]
+    offsets = list(accumulate(sizes, initial=0))
+    fields = [((1 << m) - 1) << off for m, off in zip(sizes, offsets) if m > 1]
+    masks, zero_sum = [], 0
+    for v in product(*(range(m + 1) for m in sizes)):
+        if not any(v) or sum(c * value for c, (value, _) in zip(v, classes)):
+            continue
+        masks.append(sum(((1 << c) - 1) << off for c, off in zip(v, offsets)))
+        if list(v) != sizes:
+            zero_sum += prod(comb(m, c) for c, m in zip(v, sizes))
+    return sorted(masks), fields, zero_sum
+
+
+def quadratic_class_gcds(sizes) -> tuple[int, ...]:
+    """For each class, the gcd of all class sizes with that one reduced by 1."""
+    sizes = tuple(sizes)
+    return tuple(gcd(*sizes[:w], sizes[w] - 1, *sizes[w + 1 :]) for w in range(len(sizes)))
 
 
 def cover_partitions(by_low: dict[int, list[int]], full: int) -> Iterator[tuple[int, ...]]:

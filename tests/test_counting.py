@@ -42,6 +42,7 @@ from reference import (
     fiber_size_closed_form,
     groebner_tuple_count,
     mask_counts,
+    quadratic_class_gcds,
     refinement_weights,
     subspectra_weight,
 )
@@ -166,6 +167,20 @@ def test_class_gcds_examples():
     assert class_gcds((3, 3)) == (1, 1)
     assert class_gcds((1, 2)) == (2, 1)
     assert class_gcds((1, 2, 2)) == (2, 1, 1)
+    assert class_gcds(()) == ()
+    assert class_gcds((5,)) == (4,)
+    assert class_gcds((1,) * 38) == (1,) * 38
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 12), max_size=12)
+    | st.lists(st.sampled_from([1, 1, 1, 2, 4, 6]), max_size=38)
+    | st.lists(st.integers(1, 38), max_size=1)
+)
+def test_class_gcds_match_the_quadratic_definition(sizes):
+    assert class_gcds(sizes) == quadratic_class_gcds(sizes)
+    assert class_gcds(iter(sizes)) == quadratic_class_gcds(sizes)
 
 
 def test_route_agreement_on_generated_spectra():

@@ -10,7 +10,7 @@ import time
 import typing
 from collections.abc import Iterator
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,6 +23,7 @@ from multfiber.lattice import (
     BlockPartition,
     enumerate_lattice,
     mask_indices,
+    zero_sum_join,
     zero_sum_subsets,
     zero_sum_vectors,
 )
@@ -34,6 +35,7 @@ from reference import (
     cover_lattice,
     doubling_zero_sum_subsets,
     inner_block_count,
+    product_zero_sum_vectors,
     refines,
     shape_partitions,
     strict_refinements,
@@ -217,6 +219,55 @@ def test_zero_sum_vectors_lay_out_the_classes_largest_first():
     expected = ([0b01011, 0b10001, 0b11111], [0b111], 6)
     assert zero_sum_vectors([(2, 1), (-1, 3), (1, 1)]) == expected
     assert zero_sum_vectors([(-1, 3), (2, 1), (1, 1)]) == expected
+
+
+@st.composite
+def class_multisets(draw):
+    """(packed value, size) classes of sizes 1-4 whose values sum to zero in all.
+
+    Small +-1/+-2 values cancel heavily; Gaussian values are packed as
+    ``packed_shifts`` packs them, re * k + im with k = 2 * sum |im| + 1.
+    """
+    kind = draw(st.sampled_from(["cancelling", "integer", "gaussian"]))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    if kind == "cancelling":
+        parts = [(draw(st.sampled_from([1, -1, 2, -2])), 0) for _ in sizes]
+    else:
+        im = st.integers(-3, 3) if kind == "gaussian" else st.just(0)
+        parts = [(draw(st.integers(-9, 9)), draw(im)) for _ in sizes]
+    # one more index closes the sum
+    last = tuple(-sum(m * p[i] for p, m in zip(parts, sizes)) for i in (0, 1))
+    if last != (0, 0):
+        parts.append(last)
+        sizes.append(1)
+    assume((0, 0) not in parts)
+    k = 2 * sum(abs(y) * m for (_, y), m in zip(parts, sizes)) + 1
+    return [(x * k + y, m) for (x, y), m in zip(parts, sizes)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_multisets())
+@example([(1, 4), (-1, 4)])  # +-1 repeated: every balanced vector vanishes
+@example([(2, 1), (-1, 3), (1, 1)])
+@example([(5, 1), (-5, 1)])
+def test_zero_sum_vectors_match_the_product_scan(classes):
+    vectors, fields, zero_sum = product_zero_sum_vectors(classes)
+    assert zero_sum_vectors(classes) == (vectors, fields, zero_sum)
+    # the join's total counts the empty vector too
+    assert zero_sum_join(classes)[-1] == len(vectors) + 1
+    # with the pair limit just below the floor, the scan refuses before it
+    # decodes a vector
+    work = len(classes) * comb(len(vectors) // len(classes), 2)
+    if work:
+
+        def no_vectors(*args):
+            raise AssertionError("a vector was decoded")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(multfiber.lattice, "MAX_PAIR_WORK", work - 1)
+            patch.setattr(multfiber.lattice, "compress", no_vectors)
+            with pytest.raises(DimensionCapError, match=f"at least {work} block pairs"):
+                zero_sum_vectors(classes)
 
 
 def test_unfold_type_hints_resolve():
