@@ -2,12 +2,16 @@
 
 An exact value is the integer triple (x, y, n), the Gaussian rational
 (x + y i) / n with n > 0; a spectrum's shift and multiplier views are
-triples in lowest terms.  A literal is ``p``, ``p/q``, ``ri`` or
-``p/q+r/si``: optional surrounding whitespace, decimal digits, a sign
-before a term, and a lowercase i after the imaginary term.
-``parse_literal`` reads one into a triple and ``format_literal`` writes a
-triple back in lowest terms, each part as ``p`` or ``p/q``.
-``gaussian_parts`` takes a literal, a triple or a real number to a triple.
+triples in lowest terms.  ``parse_literal`` reads a literal into a triple,
+``format_literal`` writes a triple back in lowest terms, each part as
+``p`` or ``p/q``, and ``gaussian_parts`` takes a literal, a triple or a
+real number to a triple.  A literal, stripped of surrounding whitespace,
+is ``term (sterm? "i")?``: a term is ``[+-]?p`` or ``[+-]?p/q``, an sterm
+a term with its sign, p and q Unicode decimal digits, and the imaginary
+term starts at the last sign after the first character, so ``12i`` is
+12i.  Of several faults the first is reported: bad syntax in either term
+(``1/0+xi``); then, real term first and numerator first, digits past the
+interpreter's integer-string limit or a zero denominator.
 """
 
 from __future__ import annotations
@@ -16,40 +20,35 @@ from math import gcd, lcm
 from operator import index
 
 
-def _terms(text: str, *terms: str) -> list[tuple[int, int]]:
-    """Each ``[+-]p`` or ``[+-]p/q`` term of ``text`` as (p, q), q > 0; the syntax of all first."""
-    split = []
-    for term in terms:
-        unsigned = term[1:] if term.startswith(("+", "-")) else term
-        num, slash, den = unsigned.partition("/")
-        if not num.isdecimal() or (slash and not den.isdecimal()):
-            raise ValueError(f"not a Gaussian rational literal: {text!r}")
-        split.append((term.startswith("-"), num, den or "1"))
-    values = []
-    for negative, num, den in split:  # real term first, numerator first
-        p, q = int(num), int(den)
-        if not q:
-            raise ValueError(f"zero denominator in literal: {text!r}")
-        values.append((-p if negative else p, q))
-    return values
+def _term(text: str, term: str) -> tuple[str, str]:
+    """A ``[+-]p`` or ``[+-]p/q`` term of ``text`` as the digit strings ``[+-]p`` and ``q``."""
+    num, slash, den = term.partition("/")
+    if (num[1:] if num[:1] in "+-" else num).isdecimal() and (den.isdecimal() or not slash):
+        return num, den or "1"
+    raise ValueError(f"not a Gaussian rational literal: {text!r}")
 
 
 def parse_literal(text: str) -> tuple[int, int, int]:
-    """A literal as integers (x, y, n): the value (x + y i) / n, with n > 0.
-
-    The imaginary term starts at the last sign after the first character,
-    so ``12i`` is 12i.  Raises ``ValueError`` for bad syntax, a zero
-    denominator, or digits past the interpreter's integer-string limit.
-    """
+    """A literal as (x, y, n), the value (x + y i) / n with n > 0; faults raise ``ValueError``."""
     body = text.strip()
-    if not body.endswith("i"):
-        ((p, q),) = _terms(text, body)
-        return p, 0, q
-    body = body[:-1]
-    cut = max(body.rfind("+"), body.rfind("-"), 0)
-    (p, q), (r, s) = _terms(text, body[:cut] or "0", body[cut:])
-    n = lcm(q, s)
-    return p * (n // q), r * (n // s), n
+    if body[-1:] != "i":
+        num, den = _term(text, body)
+        p, q = int(num), int(den)
+        if q:
+            return p, 0, q
+    else:
+        cut = max(body.rfind("+"), body.rfind("-"), 0)
+        num_im, den_im = _term(text, body[cut:-1])
+        num, den = _term(text, body[:cut]) if cut else ("0", "1")
+        p, q = int(num), int(den)
+        if q:
+            r, s = int(num_im), int(den_im)
+            if q == s:
+                return p, r, q
+            if s:
+                n = lcm(q, s)
+                return p * (n // q), r * (n // s), n
+    raise ValueError(f"zero denominator in literal: {text!r}")
 
 
 def _ratio(p: int, q: int) -> str:

@@ -38,7 +38,7 @@ from .frozen import Frozen
 
 MAX_SCAN_DEGREE = 38  # each half at most 3 * 2^19 sums: under 1 s and 200 MB
 MAX_PAIR_WORK = 10**8  # pairs: about 10 s of counting at 100 ns each
-MAX_PARTITIONS = 10**6  # partitions the lattice builds: about 5.5 s and 270 MB
+MAX_PARTITIONS = 10**6  # partitions the lattice builds: about 3.5 s and 210 MB
 
 
 def mask_indices(mask: int) -> tuple[int, ...]:
@@ -194,29 +194,29 @@ class BlockPartition(Frozen):
     """Disjoint blocks covering a ground set, canonically ordered.
 
     Blocks are stored sorted by smallest element, so structural equality
-    and hashing are well defined.  Blocks given in that order, as the
-    lattice's unfold gives them, are not sorted again.
+    and hashing are well defined.
     """
 
     __slots__ = ("blocks",)
 
     def __init__(self, blocks: tuple[int, ...]):
         blocks = tuple(blocks)
-        union = total = last = 0
-        ordered = True
+        union = total = 0
         for b in blocks:
             if b <= 0:
                 raise ValueError("empty block in partition")
             union |= b
             total += b.bit_count()
-            low = b & -b
-            ordered = ordered and last < low
-            last = low
         if total != union.bit_count():
             raise ValueError("overlapping blocks in partition")
-        if not ordered:
-            blocks = tuple(sorted(blocks, key=lambda b: b & -b))
-        super().__init__(blocks)
+        super().__init__(tuple(sorted(blocks, key=lambda b: b & -b)))
+
+    @classmethod
+    def _unchecked(cls, blocks: tuple[int, ...]) -> "BlockPartition":
+        """Blocks known nonempty, disjoint and in canonical order, as the unfold gives them."""
+        part = object.__new__(cls)
+        object.__setattr__(part, "blocks", blocks)
+        return part
 
     @property
     def block_count(self) -> int:
@@ -278,6 +278,5 @@ def enumerate_lattice(spec: "Spectrum") -> Lattice:
         pairs[v] = blocks
         counts[v] = 1 + sum([counts[rest] for _, rest, _ in blocks])
     _check_partitions(counts[full])
-    partitions = list(map(BlockPartition, _unfold(pairs, full)))
-    partitions.sort(key=lambda p: (p.block_count, p.blocks))
-    return Lattice(d, tuple(partitions), len(subsets))
+    ordered = sorted(_unfold(pairs, full), key=lambda blocks: (len(blocks), blocks))
+    return Lattice(d, tuple(map(BlockPartition._unchecked, ordered)), len(subsets))

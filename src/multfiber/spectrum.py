@@ -28,7 +28,7 @@ from .errors import (
     UnitMultiplierError,
     ZeroShiftTargetError,
 )
-from .exactnum import format_literal, gaussian_parts
+from .exactnum import format_literal, gaussian_parts, parse_literal
 from .frozen import Frozen
 from .lattice import MAX_SCAN_DEGREE, check_pair_floor, packed_shifts, zero_sum_join
 
@@ -96,15 +96,15 @@ def _shift_vector(values, shift, what: str, min_len=2, error=OffHyperplaneError)
         raise DegreeTooSmallError(f"need degree >= {min_len}, got {len(values)}")
     shifts = [shift(i, v) for i, v in enumerate(values)]
     D = lcm(*[n for _, _, n in shifts])
-    re = [x * (D // n) for x, _, n in shifts]
-    im = [y * (D // n) for _, y, n in shifts]
+    re, im = zip(*[(x * k, y * k) for x, y, n in shifts for k in (D // n,)])
     if sum(re) or sum(im):
         try:
             verdict = f"sum to {format_literal(sum(re), sum(im), D)}, not 0"
         except ValueError:  # a part past the int-to-string digit limit
             verdict = "do not sum to 0"
         raise error(f"{what} {verdict}")
-    g = gcd(D, *re, *im)  # above 1 only when some shift was not in lowest terms
+    if (g := gcd(D, *re, *im)) == 1:  # above 1 only when some shift was not in lowest terms
+        return Spectrum(D, re, im)
     return Spectrum(D // g, tuple(v // g for v in re), tuple(v // g for v in im))
 
 
@@ -252,10 +252,10 @@ def spectrum_to_obj(spec: Spectrum) -> dict:
 def scalars_from_obj(values, what: str) -> list[tuple[int, int, int]]:
     """A JSON list of scalars (literal strings, integers, floats) as ``gaussian_parts`` triples."""
     # JSON true/false decode as bool, a subclass of int: not scalars here
-    if not isinstance(values, list) or any(type(v) not in (str, int, float) for v in values):
+    if not isinstance(values, list) or not {str, int, float}.issuperset(map(type, values)):
         raise SpectrumFormatError(f"{what} must be a list of scalars")
     try:
-        return [gaussian_parts(v) for v in values]
+        return [parse_literal(v) if type(v) is str else gaussian_parts(v) for v in values]
     except (ValueError, OverflowError) as exc:  # OverflowError: 1e400 is inf
         raise SpectrumFormatError(str(exc)) from None
 

@@ -88,9 +88,21 @@ def test_parse_forms():
     assert parse_literal("-2-1/3i") == (-6, -1, 3)
     assert parse_literal("0+1i") == parse_literal("1i") == (0, 1, 1)
     assert parse_literal("12i") == (0, 12, 1)
+    assert parse_literal("1/6+5/6i") == (1, 5, 6)  # one shared denominator
+    assert parse_literal("1/2+1/3i") == (3, 2, 6)
+    assert parse_literal("٣/٤") == (3, 0, 4)  # Unicode decimal digits
     for bad in ["", "i", "1/0", "1 + 2i", "2x"]:
         with pytest.raises(ValueError):
             parse_literal(bad)
+    # the syntax of both terms is checked before either denominator
+    for text, message in [
+        ("1/0+1/i", "not a Gaussian rational literal: '1/0+1/i'"),
+        ("1/0+xi", "not a Gaussian rational literal: '1/0+xi'"),
+        ("1/0+2/0i", "zero denominator in literal: '1/0+2/0i'"),
+    ]:
+        with pytest.raises(ValueError) as fault:
+            parse_literal(text)
+        assert str(fault.value) == message
 
 
 def test_format_is_compact():

@@ -202,6 +202,7 @@ def test_dimension_cap(monkeypatch):
         raise AssertionError("a partition was built past the limit")
 
     monkeypatch.setattr(BlockPartition, "__init__", refuse)
+    monkeypatch.setattr(BlockPartition, "_unchecked", refuse)
     with pytest.raises(DimensionCapError, match="131 partitions"):
         enumerate_lattice(spec)
     # with distinct shifts the fold over the masks counts P itself:
@@ -350,6 +351,16 @@ def test_refines_basics():
     assert not refines(cross, split)
     with pytest.raises(ValueError):
         refines(split, BlockPartition((0b011, 0b100)))
+
+
+def test_block_partitions_are_checked_unless_the_lattice_builds_them():
+    assert BlockPartition((0b1100, 0b0011)).blocks == (0b0011, 0b1100)
+    for blocks, fault in [((0b11, 0), "empty block"), ((0b011, 0b110), "overlapping blocks")]:
+        with pytest.raises(ValueError, match=fault):
+            BlockPartition(blocks)
+    # the unfold's blocks pass every check and are already in canonical order
+    for part in enumerate_lattice(from_shifts([1, -1, 1, -1, 2, -2, 3, -3])).partitions:
+        assert BlockPartition(part.blocks).blocks == part.blocks
 
 
 def test_inner_block_count():

@@ -441,6 +441,9 @@ def test_spectrum_stores_its_shifts_over_the_least_denominator():
     assert validate(spec.lam) == spec and from_shifts(spec.mu) == spec
     with pytest.raises(AttributeError):
         spec.D = 1
+    # shifts not in lowest terms: the common divisor 2 of D, re and im is taken out
+    spec = spectrum_from_obj({"mu": [" 2/4 ", "-1/3+1/6i", "-1/6-1/6i"]})
+    assert spec == Spectrum(6, (3, -2, -1), (0, 1, -1))
 
 
 literal_texts = st.text(alphabet="0123456789+-/i ", max_size=12) | st.builds(
